@@ -33,76 +33,49 @@ class EdgeCountReport:
     per_layer: tuple[tuple[int, int], ...]  # (k, sum of orbit_size * deg_below)
     middle_term: int                        # sum of orbit_size / 2 over the top layer
     e_total: int
+    deg_below: tuple[tuple[int, ...], ...]  # per layer k = 1.., in entry order
 
 
-def degree_below(S: int, d: int, presolve: bool = False) -> int:
+def degree_below(S: int, d: int) -> int:
     """Number of members whose removal leaves a vertex.  Zero for the empty set.
 
-    Pre-filter: if S \\ {g} is a vertex then re-adding g must satisfy the
-    submask-count condition, i.e. |S<g>| = 2^{sigma(g)-1} (g included).
+    Pre-filter: if S - {g} were a vertex, ``comb.may_extend`` would have
+    to admit re-adding g to it, since S is a vertex.
     """
-    if S == 0:
-        return 0
-    table = comb.submask_table(d)
     count = 0
     for g in core.generators_of(S):
-        if (S & table[g]).bit_count() != 1 << (g.bit_count() - 1):
-            continue
-        if lp.vertex_feasible(S & ~(1 << (g - 1)), d, presolve).feasible:
+        below = S ^ (1 << (g - 1))
+        if comb.may_extend(below, g, d) and lp.vertex_feasible(below, d).feasible:
             count += 1
     return count
 
 
-def degree_above(S: int, d: int, presolve: bool = False) -> int:
+def degree_above(S: int, d: int) -> int:
     """Number of non-members whose addition gives a vertex.  Zero for the full set.
 
-    Prunes with the membership rule for the all-ones generator, the
-    complementary-pair rule below the halfway layer, and the submask-count
-    oracle; all are necessary conditions, so no edge is lost.
+    Pre-filter: ``comb.may_extend``, a necessary condition, so no edge is lost.
     """
-    table = comb.submask_table(d)
-    ones = core.all_ones_id(d)
-    k_next = S.bit_count() + 1
-    half = 1 << (d - 1)
-    ones_in = (S >> (ones - 1)) & 1
     count = 0
-    for g in range(1, ones + 1):
-        gbit = 1 << (g - 1)
-        if S & gbit:
-            continue
-        if k_next < half:
-            if g == ones:
-                continue
-            if (S >> (ones - g - 1)) & 1:
-                continue
-        elif not ones_in and g != ones:
-            continue
-        need = (1 << (g.bit_count() - 1)) - 1
-        if (S & table[g]).bit_count() != need:
-            continue
-        if lp.vertex_feasible(S | gbit, d, presolve).feasible:
+    for g in core.generators_of(core.full_mask(d) & ~S):
+        if comb.may_extend(S, g, d) and lp.vertex_feasible(S | (1 << (g - 1)), d).feasible:
             count += 1
     return count
 
 
-def layer_degrees(layers, presolve: bool = False) -> list[list[DegreeRecord]]:
+def layer_degrees(layers) -> list[list[DegreeRecord]]:
     """DegreeRecords for every canonical vertex of every layer."""
     out = []
     for layer in layers:
         out.append(
             [
-                DegreeRecord(
-                    e,
-                    degree_below(e.subset, layer.d, presolve),
-                    degree_above(e.subset, layer.d, presolve),
-                )
+                DegreeRecord(e, degree_below(e.subset, layer.d), degree_above(e.subset, layer.d))
                 for e in layer.entries
             ]
         )
     return out
 
 
-def count_edges(layers, presolve: bool = False) -> EdgeCountReport:
+def count_edges(layers) -> EdgeCountReport:
     """Total edge count from complete layers 0..2^{d-1}-1.
 
     e(d) = sum over k of the orbit-weighted degrees from below, plus half
@@ -115,17 +88,20 @@ def count_edges(layers, presolve: bool = False) -> EdgeCountReport:
         raise ValueError(f"need complete layers 0..{top}, got {sorted(ks)}")
     by_k = {layer.k: layer for layer in layers}
     per_layer = []
+    degrees = []
     for k in range(1, top + 1):
-        total = sum(
-            e.orbit_size * degree_below(e.subset, d, presolve) for e in by_k[k].entries
-        )
+        degs = tuple(degree_below(e.subset, d) for e in by_k[k].entries)
+        total = sum(e.orbit_size * deg for e, deg in zip(by_k[k].entries, degs))
         per_layer.append((k, total))
+        degrees.append(degs)
     middle = 0
     for e in by_k[top].entries:
         if e.orbit_size % 2:
             raise AssertionError(f"odd orbit size {e.orbit_size} in the top layer")
         middle += e.orbit_size // 2
-    return EdgeCountReport(d, tuple(per_layer), middle, sum(t for _, t in per_layer) + middle)
+    return EdgeCountReport(
+        d, tuple(per_layer), middle, sum(t for _, t in per_layer) + middle, tuple(degrees)
+    )
 
 
 def degrees_by_membership(layers) -> list[list[DegreeRecord]]:
@@ -218,7 +194,7 @@ def family_degree_check(d: int, k: int) -> tuple[int, int, int]:
     return below, above, below + above
 
 
-def brute_force_vertices(G, presolve: bool = False) -> set[int]:
+def brute_force_vertices(G) -> set[int]:
     """All vertex subsets of the zonotope of G, by testing every subset.
 
     Independent of the layered engine; uses only the feasibility oracle
@@ -238,7 +214,7 @@ def brute_force_vertices(G, presolve: bool = False) -> set[int]:
         if anti < S:
             v = verdicts[anti]
         else:
-            v = lp.vertex_feasible_vectors(S, vectors, presolve).feasible
+            v = lp.vertex_feasible_vectors(S, vectors).feasible
             verdicts[S] = v
         if v:
             out.add(S)
@@ -267,5 +243,5 @@ def all_vertices_from_layers(layers) -> set[int]:
     return out
 
 
-def white_whale_brute_force(d: int, presolve: bool = False) -> set[int]:
-    return brute_force_vertices(engine.white_whale_vectors(d), presolve)
+def white_whale_brute_force(d: int) -> set[int]:
+    return brute_force_vertices(engine.white_whale_vectors(d))

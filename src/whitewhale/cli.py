@@ -60,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume-from", type=int, default=None, metavar="K")
     p.add_argument("--store-certificates", action="store_true")
     p.add_argument("--no-filters", action="store_true", help="run with the LP oracle only")
-    p.add_argument("--lp-presolve", action="store_true")
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")
     p.add_argument(
         "--i-know",
@@ -71,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("edges", help="count edges from completed layers")
     _common(p)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_edges)
 
     p = sub.add_parser("degrees", help="per-vertex degree table from completed layers")
@@ -132,9 +130,12 @@ def _load_summary(layers_dir: str, d: int) -> dict:
 
 
 def _write_summary(layers_dir: str, summary: dict) -> None:
-    with open(_summary_path(layers_dir), "w") as fh:
+    path = _summary_path(layers_dir)
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
+    os.replace(tmp, path)
 
 
 def _read_all_layers(layers_dir: str, d: int) -> list[engine.LayerRecord]:
@@ -161,7 +162,6 @@ def cmd_generate(args) -> int:
         shard=args.shard,
         store_certificates=args.store_certificates,
         use_filters=not args.no_filters,
-        lp_presolve=args.lp_presolve,
         progress=not args.quiet,
     )
     os.makedirs(args.layers_dir, exist_ok=True)
@@ -229,16 +229,9 @@ def cmd_edges(args) -> int:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "point", "orbit", "deg_below"])
-        for layer in layers[1:]:
-            for e in layer.entries:
-                writer.writerow(
-                    [
-                        layer.k,
-                        " ".join(str(x) for x in e.point),
-                        e.orbit_size,
-                        analytics.degree_below(e.subset, args.d),
-                    ]
-                )
+        for layer, degs in zip(layers[1:], report.deg_below):
+            for e, deg in zip(layer.entries, degs):
+                writer.writerow([layer.k, " ".join(str(x) for x in e.point), e.orbit_size, deg])
     summary = _load_summary(args.layers_dir, args.d)
     summary["e"] = report.e_total
     _write_summary(args.layers_dir, summary)
@@ -354,12 +347,17 @@ def _verify_counts_from_files(args, check, checks) -> int:
 
 
 def cmd_pad_layers(args) -> int:
-    src = layerfile.read_layer(
-        layerfile.layer_path(args.layers_dir, args.from_d, args.k), args.from_d, args.k
-    )
     core.check_dimension(args.to_d)
     if args.to_d < args.from_d:
         raise ValueError("target dimension must not be smaller than the source")
+    # A padded point keeps to_d - from_d zero coordinates.  From k = from_d + 1
+    # on, to_d has vertices with fewer (for to_d = from_d + 1 the U-family
+    # point (1,...,1,to_d)), so the padded layer would be incomplete.
+    if args.k > args.from_d:
+        raise ValueError(f"padded layers are complete only for k <= {args.from_d}, got k={args.k}")
+    src = layerfile.read_layer(
+        layerfile.layer_path(args.layers_dir, args.from_d, args.k), args.from_d, args.k
+    )
     entries = tuple(
         comb.CanonicalVertex(
             e.subset,

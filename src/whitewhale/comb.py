@@ -1,9 +1,11 @@
 """Combinatorial pruning and canonicalization under coordinate permutations.
 
-The filters here certify non-vertices cheaply so that the expensive exact
-feasibility oracle is only called on surviving candidates.  All of them are
-necessary conditions for vertexhood (given that the subset being extended
+``may_extend`` certifies non-vertices cheaply so that the expensive exact
+feasibility oracle is only called on surviving candidates.  It is a
+necessary condition for vertexhood (given that the subset being extended
 is itself a vertex), so pruning never loses a vertex.
+``filter_sorted_extension`` only drops candidates that a sorted sibling
+duplicates under coordinate permutations.
 """
 
 from __future__ import annotations
@@ -26,13 +28,6 @@ class CanonicalVertex:
     certificate: tuple[Fraction, ...] | None = field(default=None, compare=False, repr=False)
 
 
-def support(g: int) -> int:
-    """Number of non-zero coordinates of generator g."""
-    if g < 1:
-        raise ValueError(f"generator id must be positive, got {g}")
-    return g.bit_count()
-
-
 @lru_cache(maxsize=None)
 def submask_table(d: int) -> tuple[int, ...]:
     """table[g] = mask of all non-empty submasks of g (g itself included).
@@ -51,35 +46,30 @@ def submask_table(d: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def restricted_count(S: int, g: int, table) -> int:
-    """|S<g>|: the number of members of S coordinatewise dominated by g."""
-    return (S & table[g]).bit_count()
+def may_extend(S: int, g: int, d: int) -> bool:
+    """Necessary condition for p(S + {g}) to be a vertex, given that p(S) is
+    one and g is not in S.  False certifies that S + {g} is not a vertex.
 
+    With c the certificate of S + {g} (c.h >= 1 on members, <= -1 outside):
 
-def oracle_O(S: int, g: int, table) -> bool:
-    """Necessary condition for p(S + {g}) to be a vertex when p(S) is one.
-
-    Requires S<g> to hit exactly one member of each pair summing to g.
-    False certifies the extension is not a vertex.
+    * all-ones: a vertex subset contains (1,...,1) iff it has at least
+      2^{d-1} members, so below that size g = (1,...,1) is out, and from
+      that size on a vertex S without (1,...,1) can only gain it;
+    * complement: g and (1,...,1) - g both in S + {g} force c.(1,...,1) >= 2,
+      which below the halfway layer contradicts (1,...,1) being outside;
+    * submask count: of each pair {h, g - h} of proper submasks of g
+      exactly one lies in S (c.h + c.(g-h) = c.g >= 1 puts one in, and a
+      vertex S holding both would hold g), so
+      |S & submasks(g)| = 2^{sigma(g)-1} - 1.  This subsumes the support
+      bound 2^{sigma(g)-1} - 1 <= |S|.
     """
-    return (S & table[g]).bit_count() == (1 << (support(g) - 1)) - 1
-
-
-def filter_ones(k_next: int, d: int, g: int) -> bool:
-    """Reject the all-ones generator below the halfway layer.
-
-    A vertex subset contains (1,...,1) iff it has at least 2^{d-1} members.
-    """
-    return not (g == core.all_ones_id(d) and k_next < (1 << (d - 1)))
-
-
-def filter_complement(S: int, g: int, d: int) -> bool:
-    """Reject g when its complementary generator (1,...,1) - g is in S.
-
-    Sound when the extended subset stays below 2^{d-1} members.
-    """
-    comp = core.all_ones_id(d) - g
-    return comp == 0 or not (S >> (comp - 1)) & 1
+    ones = (1 << d) - 1
+    if S.bit_count() + 1 < 1 << (d - 1):
+        if g == ones or (S >> (ones - g - 1)) & 1:
+            return False
+    elif g != ones and not (S >> (ones - 1)) & 1:
+        return False
+    return (S & submask_table(d)[g]).bit_count() == (1 << (g.bit_count() - 1)) - 1
 
 
 def filter_sorted_extension(p, g: int, d: int) -> bool:
@@ -96,11 +86,6 @@ def filter_sorted_extension(p, g: int, d: int) -> bool:
             if gi > gi1:
                 return False
     return True
-
-
-def support_bound_filter(k_next: int, g: int) -> bool:
-    """Fast necessary condition for oracle_O: 2^{sigma(g)-1} - 1 <= |S|."""
-    return (1 << (support(g) - 1)) - 1 <= k_next - 1
 
 
 def orbit_size(p, d: int) -> int:

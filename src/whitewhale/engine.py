@@ -10,8 +10,9 @@ Three levels of machinery:
   representative per coordinate-permutation orbit and stops at the
   halfway layer; central symmetry supplies the other half.
 * ``generate`` / ``expand_layer`` are the White Whale specialization:
-  subsets are bitmasks over the integer-encoded generators and the full
-  combinatorial filter chain runs before each feasibility call.
+  subsets are bitmasks over the integer-encoded generators, and
+  ``comb.may_extend`` then ``comb.filter_sorted_extension`` run before
+  each feasibility call.
 
 Only two consecutive layers are ever held in memory.  Workers take
 contiguous slices of the current layer and build private candidate sets;
@@ -49,10 +50,8 @@ class RunConfig:
     max_layer: int | None = None          # default: the halfway layer 2^{d-1} - 1
     worker_count: int = 1
     shard: tuple[int, int] | None = None  # (index, total)
-    resume_from: int | None = None
     store_certificates: bool = False
     use_filters: bool = True
-    lp_presolve: bool = False
     progress: bool = False
 
     def __post_init__(self):
@@ -76,12 +75,14 @@ def layer_zero(d: int) -> LayerRecord:
 
 
 def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerRecord:
-    """Compute layer k + 1 from a complete layer k.
+    """Compute layer k + 1 from a complete layer k, for k below cfg.max_layer.
 
     Applies the shard filter from cfg, dispatches contiguous entry slices
     to workers, merges the per-worker candidate sets, and returns the
     entries sorted by point.
     """
+    if layer.k >= cfg.max_layer:
+        raise ValueError(f"cannot expand layer {layer.k}: the max layer is {cfg.max_layer}")
     masks = [e.subset for e in layer.entries]
     if cfg.shard is not None:
         i, n = cfg.shard
@@ -89,7 +90,7 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
     t0 = time.monotonic()
     chunks = _slice(masks, cfg.worker_count)
     args = [
-        (layer.d, layer.k, chunk, cfg.use_filters, cfg.lp_presolve, cfg.store_certificates)
+        (layer.d, chunk, cfg.use_filters, cfg.store_certificates)
         for chunk in chunks
     ]
     if executor is not None and len(args) > 1:
@@ -159,45 +160,31 @@ def _slice(masks, parts):
 def _expand_chunk(args):
     """Expand a slice of layer-k subsets; returns (point -> canonical, counters).
 
-    Filter order, cheapest first: all-ones, complement, sorted-extension,
-    support bound, submask-count oracle, then the dedup set, then the
-    exact feasibility oracle.
+    Filter order: the vertex rules of ``comb.may_extend``, the symmetry
+    rule ``comb.filter_sorted_extension``, the dedup set, then the exact
+    feasibility oracle.
     """
-    d, k, masks, use_filters, presolve, want_certs = args
-    table = comb.submask_table(d)
-    ones = core.all_ones_id(d)
-    below_half = k + 1 < (1 << (d - 1))
+    d, masks, use_filters, want_certs = args
+    full = core.full_mask(d)
     found: dict[tuple[int, ...], comb.CanonicalVertex] = {}
     candidates = lp_calls = 0
     for S in masks:
         p = core.point_of(S, d)
-        for g in range(1, ones + 1):
-            gbit = 1 << (g - 1)
-            if S & gbit:
+        for g in core.generators_of(full & ~S):
+            if use_filters and not (
+                comb.may_extend(S, g, d) and comb.filter_sorted_extension(p, g, d)
+            ):
                 continue
-            if use_filters:
-                if below_half:
-                    if g == ones:
-                        continue
-                    comp = ones - g
-                    if (S >> (comp - 1)) & 1:
-                        continue
-                if not comb.filter_sorted_extension(p, g, d):
-                    continue
-                need = (1 << (g.bit_count() - 1)) - 1
-                if need > k:
-                    continue
-                if (S & table[g]).bit_count() != need:
-                    continue
             candidates += 1
             child_point = tuple(sorted(core.point_increment(p, g, d)))
             if child_point in found:
                 continue
-            result = lp.vertex_feasible(S | gbit, d, presolve=presolve)
+            child = S | (1 << (g - 1))
+            result = lp.vertex_feasible(child, d)
             lp_calls += 1
             if result.feasible:
                 cert = result.certificate if want_certs else None
-                found[child_point] = comb.canonicalize(S | gbit, d, cert)
+                found[child_point] = comb.canonicalize(child, d, cert)
     return found, candidates, lp_calls
 
 
@@ -224,7 +211,6 @@ def generate_generic(G, use_symmetry: bool, pre_oracle=None, cfg: RunConfig | No
     d = len(vectors[0])
     _check_no_collinear(vectors)
     m = len(vectors)
-    presolve = cfg.lp_presolve if cfg is not None else False
     top = m // 2 if use_symmetry else m
     if cfg is not None and cfg.max_layer is not None and not use_symmetry:
         top = min(top, cfg.max_layer)
@@ -249,7 +235,7 @@ def generate_generic(G, use_symmetry: bool, pre_oracle=None, cfg: RunConfig | No
                     key = child_point
                 if key in nxt:
                     continue
-                if not lp.vertex_feasible_vectors(S | (1 << j), vectors, presolve).feasible:
+                if not lp.vertex_feasible_vectors(S | (1 << j), vectors).feasible:
                     continue
                 child = S | (1 << j)
                 if use_symmetry:

@@ -15,9 +15,7 @@ using fraction-free integer pivoting (all tableau entries stay integers)
 and Bland's least-index rule, so verdicts are deterministic and free of
 rounding.  When the minimum is positive, the dual solution yields an
 exact rational certificate c, which is always re-verified before being
-returned.  An optional floating-point presolve can shortcut the feasible
-case; its answer is only accepted if the rounded rational certificate
-verifies exactly.
+returned.
 """
 
 from __future__ import annotations
@@ -55,18 +53,13 @@ def feasibility(rows) -> FeasibilityResult:
     return FeasibilityResult(True, tuple(Fraction(n, den) for n in nums))
 
 
-def vertex_feasible(S: int, d: int, presolve: bool = False) -> FeasibilityResult:
+def vertex_feasible(S: int, d: int) -> FeasibilityResult:
     """Vertex test for a subset mask over the full White Whale generator set."""
     core.check_dimension(d)
-    rows = signed_rows(S, d)
-    if presolve:
-        cert = _float_presolve(rows, d)
-        if cert is not None:
-            return FeasibilityResult(True, cert)
-    return feasibility(rows)
+    return feasibility(signed_rows(S, d))
 
 
-def vertex_feasible_vectors(mask: int, vectors, presolve: bool = False) -> FeasibilityResult:
+def vertex_feasible_vectors(mask: int, vectors) -> FeasibilityResult:
     """Vertex test for a subset mask over an arbitrary integer generator list."""
     if not vectors:
         raise ValueError("empty generator list")
@@ -76,10 +69,6 @@ def vertex_feasible_vectors(mask: int, vectors, presolve: bool = False) -> Feasi
             rows.append(tuple(v))
         else:
             rows.append(tuple(-x for x in v))
-    if presolve:
-        cert = _float_presolve(rows, len(rows[0]))
-        if cert is not None:
-            return FeasibilityResult(True, cert)
     return feasibility(rows)
 
 
@@ -194,30 +183,3 @@ def _phase_one(rows, d):
     # Dual values live under the artificial columns; c = -pi / w separates.
     nums = [-(obj[art0 + i] + den) for i in range(d)]
     return nums, w
-
-
-def _float_presolve(rows, d):
-    """Floating-point attempt at a certificate; exact-verified or discarded."""
-    try:
-        import numpy as np
-        from scipy.optimize import linprog
-    except ImportError:  # pragma: no cover
-        return None
-    n = len(rows)
-    a_ub = np.zeros((n, d + 1))
-    for i, r in enumerate(rows):
-        a_ub[i, :d] = [-x for x in r]
-        a_ub[i, d] = 1.0
-    obj = np.zeros(d + 1)
-    obj[d] = -1.0
-    bounds = [(None, None)] * d + [(None, 1.0)]
-    res = linprog(obj, A_ub=a_ub, b_ub=np.zeros(n), bounds=bounds, method="highs")
-    if res.status != 0 or res.x is None or res.x[d] < 0.5:
-        return None
-    scale = res.x[d]
-    approx = [x / scale for x in res.x[:d]]
-    for limit in (4, 64, 4096, 10**9):
-        cand = [Fraction(x).limit_denominator(limit) for x in approx]
-        if all(sum(c * x for c, x in zip(cand, r)) >= 1 for r in rows):
-            return tuple(cand)
-    return None

@@ -59,6 +59,16 @@ def test_count_edges_d4(generated):
     assert analytics.count_edges(layers).e_total == 760
 
 
+def test_count_edges_carries_degrees_below(generated):
+    layers, _ = generated(4)
+    report = analytics.count_edges(layers)
+    assert len(report.deg_below) == len(layers) - 1
+    for layer, degs, (k, total) in zip(layers[1:], report.deg_below, report.per_layer):
+        assert k == layer.k
+        assert list(degs) == [analytics.degree_below(e.subset, 4) for e in layer.entries]
+        assert total == sum(e.orbit_size * deg for e, deg in zip(layer.entries, degs))
+
+
 def test_count_edges_needs_complete_layers(generated):
     layers, _ = generated(3)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -153,6 +154,52 @@ def test_shard_and_merge_cli(tmp_path):
     assert (layers_dir / "layer_d4_k4.www").read_bytes() == reference
 
 
+def test_shard_at_or_past_max_layer_is_config_error(tmp_path):
+    layers_dir = full_run(tmp_path, 4)
+    for extra in (("--resume-from", 7), ("--resume-from", 3, "--max-layer", 3)):
+        assert (
+            run_cli(
+                "generate", "-d", 4, "--layers-dir", layers_dir, "--shard", "0/1", "--quiet",
+                *extra,
+            )
+            == cli.EXIT_CONFIG
+        )
+    assert not list(layers_dir.glob("*.part*"))
+
+
+def _options(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {s for a in sub.choices[command]._actions for s in a.option_strings}
+
+
+def test_option_surface():
+    common = {"-h", "--help", "-d", "--layers-dir"}
+    assert _options("generate") == common | {
+        "--max-layer", "--threads", "--shard", "--resume-from", "--store-certificates",
+        "--no-filters", "--quiet", "--i-know",
+    }
+    assert _options("edges") == common
+    assert _options("degrees") == common
+
+
+def test_unknown_option_fails_at_parsing(tmp_path):
+    assert run_cli("edges", "-d", 3, "--layers-dir", tmp_path, "--threads", 1) == cli.EXIT_CONFIG
+
+
+def test_summary_write_is_atomic(tmp_path, monkeypatch):
+    layers_dir = full_run(tmp_path, 3)
+    before = (layers_dir / "summary.json").read_bytes()
+
+    def torn_dump(obj, fh, **kwargs):
+        fh.write("{")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", torn_dump)
+    assert run_cli("edges", "-d", 3, "--layers-dir", layers_dir) == cli.EXIT_IO
+    assert (layers_dir / "summary.json").read_bytes() == before
+
+
 def test_store_certificates_cli(tmp_path):
     layers_dir = full_run(tmp_path, 3, "--store-certificates")
     text = (layers_dir / "layer_d3_k3.certs").read_text()
@@ -198,18 +245,22 @@ def test_verify_cli_bruteforce_needs_small_d(tmp_path):
 
 
 def test_pad_layers_cli(tmp_path, generated):
-    layers_dir = full_run(tmp_path, 3)
-    assert (
-        run_cli(
-            "pad-layers", "--from-d", 3, "--to-d", 4, "-k", 2, "--layers-dir", layers_dir
-        )
-        == 0
-    )
-    padded = layerfile.read_layer(str(layers_dir / "layer_d4_k2.www"), 4, 2)
+    # a padded layer k <= from_d must equal the fresh layer one dimension up
+    for from_d in (3, 4):
+        layers_dir = full_run(tmp_path / str(from_d), from_d)
+        fresh, _ = generated(from_d + 1)
+        for k in range(from_d + 1):
+            assert (
+                run_cli(
+                    "pad-layers", "--from-d", from_d, "--to-d", from_d + 1, "-k", k,
+                    "--layers-dir", layers_dir,
+                )
+                == 0
+            )
+            padded = (layers_dir / f"layer_d{from_d + 1}_k{k}.www").read_text()
+            assert padded == layerfile.render(fresh[k])
+    padded = layerfile.read_layer(str(tmp_path / "3" / "layers" / "layer_d4_k2.www"), 4, 2)
     assert [e.point for e in padded.entries] == [(0, 0, 1, 2)]
-    # a padded layer must equal the corresponding fresh layer one dimension up
-    layers4, _ = generated(4)
-    assert layerfile.render(padded) == layerfile.render(layers4[2])
 
 
 def test_pad_layers_resume_equals_fresh_run(tmp_path, generated):
@@ -243,3 +294,17 @@ def test_pad_layers_rejects_shrinking(tmp_path):
         )
         == cli.EXIT_CONFIG
     )
+
+
+def test_pad_layers_rejects_incomplete_layers(tmp_path):
+    for from_d in (3, 4):
+        layers_dir = full_run(tmp_path / str(from_d), from_d)
+        k = from_d + 1
+        assert (
+            run_cli(
+                "pad-layers", "--from-d", from_d, "--to-d", from_d + 1, "-k", k,
+                "--layers-dir", layers_dir,
+            )
+            == cli.EXIT_CONFIG
+        )
+        assert not (layers_dir / f"layer_d{from_d + 1}_k{k}.www").exists()

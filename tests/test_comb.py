@@ -3,63 +3,84 @@ import random
 
 import pytest
 
-from whitewhale import comb, core, lp
-
-
-def test_support():
-    assert comb.support(7) == 3
-    assert comb.support(1) == 1
-    with pytest.raises(ValueError):
-        comb.support(0)
+from whitewhale import analytics, comb, core, engine, lp
 
 
 def test_submask_table_invariant():
     for d in (2, 3, 4, 5):
         table = comb.submask_table(d)
         for g in range(1, 1 << d):
-            assert table[g].bit_count() == (1 << comb.support(g)) - 1
+            assert table[g].bit_count() == (1 << g.bit_count()) - 1
             assert (table[g] >> (g - 1)) & 1
 
 
+def test_may_extend_all_ones_rule():
+    ones = core.all_ones_id(3)
+    # below the halfway layer (1,1,1) is never added
+    assert not comb.may_extend(core.mask_of([1, 3]), ones, 3)
+    # at the halfway layer a vertex without (1,1,1) can only gain it
+    w = core.mask_of([1, 2, 3])
+    assert comb.may_extend(w, ones, 3)
+    assert not comb.may_extend(w, 4, 3)
+    assert lp.vertex_feasible(w | (1 << (ones - 1)), 3).feasible
+
+
+def test_may_extend_complement_rule():
+    S = core.mask_of([1, 3])
+    assert not comb.may_extend(S, 6, 3)   # (1,1,0) + (0,0,1) = (1,1,1)
+    assert not comb.may_extend(S, 4, 3)   # (1,0,0) + (0,1,1) = (1,1,1)
+    assert comb.may_extend(S, 2, 3)
+
+
 def test_restricted_count_examples():
+    # |S & submasks(g)|, the count the submask rule of may_extend reads
     table = comb.submask_table(3)
-    assert comb.restricted_count(core.mask_of([1, 3]), 7, table) == 2
-    assert comb.restricted_count(core.mask_of([1, 3]), 2, table) == 0
-    assert comb.restricted_count(core.mask_of([1, 3, 5]), 3, table) == 2
+    assert (core.mask_of([1, 3]) & table[7]).bit_count() == 2
+    assert (core.mask_of([1, 3]) & table[2]).bit_count() == 0
+    assert (core.mask_of([1, 3, 5]) & table[3]).bit_count() == 2
 
 
 def test_oracle_O_examples():
-    table = comb.submask_table(3)
+    # |S & submasks(g)| must be 2^{sigma(g)-1} - 1
     S = core.mask_of([1, 3])
-    assert comb.oracle_O(S, 2, table)
-    assert not comb.oracle_O(S, 7, table)
-    assert comb.oracle_O(S, 5, table)
+    assert comb.may_extend(S, 2, 3)       # submasks {2}: none in S
+    assert not comb.may_extend(S, 7, 3)
+    assert comb.may_extend(S, 5, 3)       # submasks {1, 4}: one in S
+    one = core.mask_of([1])
+    assert not comb.may_extend(one, 6, 4)   # submasks {2, 4}: none in S
+    assert not lp.vertex_feasible(one | (1 << (6 - 1)), 4).feasible
 
 
-def test_oracle_O_soundness_exhaustive_d3():
-    # oracle false must imply the extension is not a vertex
-    table = comb.submask_table(3)
-    for S in range(1 << 7):
-        if not lp.vertex_feasible(S, 3).feasible:
-            continue
-        for g in range(1, 8):
-            if (S >> (g - 1)) & 1:
-                continue
-            if not comb.oracle_O(S, g, table):
-                assert not lp.vertex_feasible(S | (1 << (g - 1)), 3).feasible
+def test_support_bound_filter_examples():
+    # the submask count implies 2^{sigma(g)-1} - 1 <= |S|
+    one = core.mask_of([1])
+    assert not comb.may_extend(one, 7, 4)   # sigma = 3 needs 3 members, |S| = 1
+    assert not lp.vertex_feasible(one | (1 << (7 - 1)), 4).feasible
+    assert comb.may_extend(one, 3, 4)       # sigma = 2 needs 1
+    # boundary: sigma = 4 needs 2^3 - 1 = 7 members and |S| = 7
+    seven = core.mask_of(range(1, 8))
+    assert lp.vertex_feasible(seven, 4).feasible
+    assert comb.may_extend(seven, 15, 4)
+    assert lp.vertex_feasible(seven | (1 << (15 - 1)), 4).feasible
 
 
-def test_filter_ones_examples():
-    assert not comb.filter_ones(3, 3, 7)
-    assert comb.filter_ones(3, 3, 3)
-    assert comb.filter_ones(4, 3, 7)
-
-
-def test_filter_complement_examples():
-    S = core.mask_of([1, 3])
-    assert not comb.filter_complement(S, 6, 3)
-    assert comb.filter_complement(S, 2, 3)
-    assert not comb.filter_complement(S, 4, 3)
+def test_may_extend_soundness_exhaustive():
+    # a rejection must imply the extension is not a vertex, for every vertex
+    # S and every g outside it; vertex sets come from paths without the rule
+    vertex_sets = {
+        4: analytics.white_whale_brute_force(4),
+        5: analytics.all_vertices_from_layers(
+            engine.run(engine.RunConfig(d=5, use_filters=False))
+        ),
+    }
+    for d, vertices in vertex_sets.items():
+        rejected = 0
+        for S in vertices:
+            for g in core.generators_of(core.full_mask(d) & ~S):
+                if not comb.may_extend(S, g, d):
+                    rejected += 1
+                    assert S | (1 << (g - 1)) not in vertices, (d, S, g)
+        assert rejected > 0
 
 
 def test_filter_sorted_extension_examples():
@@ -67,12 +88,6 @@ def test_filter_sorted_extension_examples():
     assert not comb.filter_sorted_extension((0, 0, 1), core.id_of((1, 0, 1)), 3)
     for g in range(1, 8):
         assert comb.filter_sorted_extension((0, 1, 2), g, 3)
-
-
-def test_support_bound_filter_examples():
-    assert not comb.support_bound_filter(2, 7)       # sigma=3 needs 3 members
-    assert comb.support_bound_filter(2, 3)           # sigma=2 needs 1
-    assert comb.support_bound_filter(8, 15)          # boundary: 2^3-1 = 7 <= 7
 
 
 def test_orbit_size_examples():

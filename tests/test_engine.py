@@ -110,10 +110,9 @@ def test_generic_algorithm2_matches_specialized(generated):
 
 def test_generic_with_pre_oracle(generated):
     layers, _ = generated(4)
-    table = comb.submask_table(4)
 
     def pre(mask, j):
-        return comb.oracle_O(mask, j + 1, table)
+        return comb.may_extend(mask, j + 1, 4)
 
     generic = engine.generate_generic(
         engine.white_whale_vectors(4), use_symmetry=True, pre_oracle=pre
