@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.set_defaults(func=cmd_degrees)
 
-    p = sub.add_parser("verify", help="check outputs against embedded ground truth")
+    p = sub.add_parser("verify", help="check the layer files against embedded ground truth")
     _common(p)
     p.add_argument(
         "--mode",
@@ -160,7 +160,6 @@ def cmd_generate(args) -> int:
         max_layer=args.max_layer,
         worker_count=args.threads,
         shard=args.shard,
-        store_certificates=args.store_certificates,
         use_filters=not args.no_filters,
         progress=not args.quiet,
     )
@@ -183,12 +182,10 @@ def cmd_generate(args) -> int:
         )
         return EXIT_OK
 
-    written = []
     for layer in engine.generate(cfg, start):
         layerfile.write_layer(layerfile.layer_path(args.layers_dir, d, layer.k), layer)
-        if cfg.store_certificates and layer.k > 0:
+        if args.store_certificates and layer.k > 0:
             _write_certificates(args.layers_dir, layer)
-        written.append(layer)
 
     top = (1 << (d - 1)) - 1
     if cfg.max_layer == top:
@@ -215,11 +212,8 @@ def _write_certificates(layers_dir: str, layer: engine.LayerRecord) -> None:
     path = os.path.join(layers_dir, f"layer_d{layer.d}_k{layer.k}.certs")
     with open(path, "w") as fh:
         for e in layer.entries:
-            cert = e.certificate
-            if cert is None:
-                cert = lp.vertex_feasible(e.subset, layer.d).certificate
             point = " ".join(str(x) for x in e.point)
-            fh.write(point + " | " + " ".join(str(c) for c in cert) + "\n")
+            fh.write(point + " | " + " ".join(str(c) for c in e.certificate) + "\n")
 
 
 def cmd_edges(args) -> int:
@@ -275,12 +269,10 @@ def cmd_verify(args) -> int:
     if "bruteforce" in modes and d > 4:
         print(f"error: bruteforce mode needs d <= 4, got {d}", file=sys.stderr)
         return EXIT_CONFIG
-    if "tables" in modes and d > 6:
-        return _verify_counts_from_files(args, check, checks)
 
     layers = None
     if modes & {"tables", "bruteforce"}:
-        layers = engine.run(engine.RunConfig(d=d))
+        layers = _read_all_layers(args.layers_dir, d)
 
     if "tables" in modes:
         a = sum(l.orbit_sum for l in layers)
@@ -336,16 +328,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(ok for _, ok in checks) else EXIT_VERIFY
 
 
-def _verify_counts_from_files(args, check, checks) -> int:
-    d = args.d
-    layers = _read_all_layers(args.layers_dir, d)
-    a = sum(l.orbit_sum for l in layers)
-    o = sum(len(l.entries) for l in layers)
-    check(f"a({d}) == {tables.A_VALUES[d]} (count-only)", a == tables.A_VALUES[d])
-    check(f"o({d}) == {tables.O_VALUES[d]} (count-only)", o == tables.O_VALUES[d])
-    return EXIT_OK if all(ok for _, ok in checks) else EXIT_VERIFY
-
-
 def cmd_pad_layers(args) -> int:
     core.check_dimension(args.to_d)
     if args.to_d < args.from_d:
@@ -380,7 +362,7 @@ def cmd_merge_shards(args) -> int:
         )
         for i in range(args.total)
     ]
-    merged = layerfile.merge_partials(partials)
+    merged = engine.merge_partials(partials)
     layerfile.write_layer(layerfile.layer_path(args.layers_dir, args.d, args.k), merged)
     return EXIT_OK
 

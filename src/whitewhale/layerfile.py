@@ -90,20 +90,3 @@ def read_layer(path: str, expect_d: int | None = None, expect_k: int | None = No
         entries.append(comb.CanonicalVertex(subset, point, comb.orbit_size(point, d)))
     return LayerRecord(d, k, tuple(entries))
 
-
-def merge_partials(partials: list[LayerRecord]) -> LayerRecord:
-    """Union of sharded partial layers, deduplicated and re-sorted."""
-    if not partials:
-        raise ValueError("nothing to merge")
-    d, k = partials[0].d, partials[0].k
-    merged: dict[tuple[int, ...], comb.CanonicalVertex] = {}
-    for part in partials:
-        if (part.d, part.k) != (d, k):
-            raise ValueError("cannot merge partial layers of different (d, k)")
-        for e in part.entries:
-            prev = merged.get(e.point)
-            if prev is None:
-                merged[e.point] = e
-            elif prev.subset != e.subset:
-                raise LayerFileError(f"conflicting subsets for point {e.point}")
-    return LayerRecord(d, k, tuple(merged[p] for p in sorted(merged)))

@@ -173,6 +173,6 @@ def test_criterion_10_determinism_resume_shards(generated):
             engine.expand_layer(layers5[k], engine.RunConfig(d=5, shard=(i, 4)))
             for i in range(4)
         ]
-        merged = layerfile.merge_partials(parts)
+        merged = engine.merge_partials(parts)
         ok &= layerfile.render(merged) == layerfile.render(layers5[k + 1])
     report(10, "determinism, resume, 4-way sharding at d=5", ok)

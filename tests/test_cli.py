@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from whitewhale import cli, core, engine, layerfile
+from whitewhale import cli, comb, core, engine, layerfile
 
 
 def run_cli(*args):
@@ -60,9 +60,9 @@ def test_layer_file_header_mismatch(tmp_path, generated):
 def test_merge_partials_rejects_mixed(generated):
     layers, _ = generated(3)
     with pytest.raises(ValueError):
-        layerfile.merge_partials([layers[1], layers[2]])
+        engine.merge_partials([layers[1], layers[2]])
     with pytest.raises(ValueError):
-        layerfile.merge_partials([])
+        engine.merge_partials([])
 
 
 def test_generate_writes_layers_and_summary(tmp_path):
@@ -154,6 +154,19 @@ def test_shard_and_merge_cli(tmp_path):
     assert (layers_dir / "layer_d4_k4.www").read_bytes() == reference
 
 
+def test_merge_shards_conflict_is_internal_error(tmp_path):
+    # {1, 6} and {2, 5} both sum to (1, 1, 1) at d=3
+    for i, ids in enumerate(([1, 6], [2, 5])):
+        entry = comb.CanonicalVertex(core.mask_of(ids), (1, 1, 1), 1)
+        part = engine.LayerRecord(3, 2, (entry,))
+        layerfile.write_layer(layerfile.layer_path(str(tmp_path), 3, 2, (i, 2)), part)
+    assert (
+        run_cli("merge-shards", "-d", 3, "-k", 2, "--total", 2, "--layers-dir", tmp_path)
+        == cli.EXIT_INTERNAL
+    )
+    assert not (tmp_path / "layer_d3_k2.www").exists()
+
+
 def test_shard_at_or_past_max_layer_is_config_error(tmp_path):
     layers_dir = full_run(tmp_path, 4)
     for extra in (("--resume-from", 7), ("--resume-from", 3, "--max-layer", 3)):
@@ -233,11 +246,34 @@ def test_degrees_cli(tmp_path):
     ]
 
 
-def test_verify_cli_passes(capsys):
-    assert run_cli("verify", "-d", 3, "--mode", "all") == 0
+def test_verify_cli_passes(tmp_path, capsys):
+    layers_dir = full_run(tmp_path, 3)
+    assert run_cli("verify", "-d", 3, "--mode", "all", "--layers-dir", layers_dir) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_verify_missing_layers_is_io_error(tmp_path):
+    for mode in ("tables", "bruteforce", "all"):
+        assert (
+            run_cli("verify", "-d", 4, "--mode", mode, "--layers-dir", tmp_path / "none")
+            == cli.EXIT_IO
+        )
+
+
+def test_verify_reads_the_layer_files(tmp_path, capsys):
+    layers_dir = full_run(tmp_path, 4)
+    path = str(layers_dir / "layer_d4_k5.www")
+    layer = layerfile.read_layer(path, 4, 5)
+    layerfile.write_layer(path, engine.LayerRecord(4, 5, layer.entries[1:]))
+    capsys.readouterr()
+    for mode in ("tables", "bruteforce"):
+        assert (
+            run_cli("verify", "-d", 4, "--mode", mode, "--layers-dir", layers_dir)
+            == cli.EXIT_VERIFY
+        )
+        assert "FAIL" in capsys.readouterr().out
 
 
 def test_verify_cli_bruteforce_needs_small_d(tmp_path):

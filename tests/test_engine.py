@@ -74,7 +74,7 @@ def test_generate_rejects_wrong_start_dimension():
 def test_store_certificates_verify():
     from whitewhale import lp
 
-    cfg = engine.RunConfig(d=3, store_certificates=True)
+    cfg = engine.RunConfig(d=3)
     for layer in engine.generate(cfg):
         for e in layer.entries:
             if layer.k:
@@ -146,6 +146,42 @@ def test_worker_count_does_not_change_output(generated):
     ]
 
 
+def test_fresh_run_uses_one_capped_pool(monkeypatch, generated):
+    layers, _ = generated(4)
+    pools = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            self.max_workers, self.mapped = max_workers, 0
+            pools.append(self)
+
+        def map(self, fn, items):
+            items = list(items)
+            self.mapped += len(items)
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    got = engine.run(engine.RunConfig(d=4, worker_count=2))
+    assert [layerfile.render(l) for l in got] == [layerfile.render(l) for l in layers]
+    (pool,) = pools
+    assert pool.max_workers == 2
+    assert pool.mapped > len(layers) - 1  # later layers are split across both workers
+    pools.clear()
+    engine.run(engine.RunConfig(d=4, worker_count=10_000))
+    (pool,) = pools
+    assert pool.max_workers == 4
+    pools.clear()
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 1)
+    engine.run(engine.RunConfig(d=4, worker_count=2))
+    assert pools == []
+
+
 def test_shard_union_equals_unsharded(generated):
     layers, _ = generated(4)
     start = layers[3]
@@ -153,7 +189,7 @@ def test_shard_union_equals_unsharded(generated):
         engine.expand_layer(start, engine.RunConfig(d=4, shard=(i, 3)))
         for i in range(3)
     ]
-    merged = layerfile.merge_partials(parts)
+    merged = engine.merge_partials(parts)
     assert layerfile.render(merged) == layerfile.render(layers[4])
 
 
