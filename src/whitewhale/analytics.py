@@ -1,11 +1,15 @@
 """Degrees, edge counts, vertex families, and brute-force oracles.
 
-Degrees are recomputed per canonical representative with the exact
-feasibility oracle (permutation invariance makes that enough; orbit
-expansion multiplies by the orbit size).  The total edge count follows
-the halved summation: orbit-weighted degrees from below over the layers
-up to the halfway layer, plus half an orbit per vertex of the top layer
-for the central edges.
+Degrees come from layer membership: a neighbour p(S) -+ v(g) of a vertex
+is a vertex exactly when its sorted point is in the adjacent layer, and
+the layer above the top layer is the antipodal image of the top layer.
+Permutation invariance makes one canonical representative per orbit
+enough; orbit expansion multiplies by the orbit size.  The total edge
+count follows the halved summation: orbit-weighted degrees from below
+over the layers up to the halfway layer, plus half an orbit per vertex of
+the top layer for the central edges.  ``degree_below`` and
+``degree_above`` ask the exact feasibility oracle instead; they serve as
+the independent reference and for the closed-form family checks.
 """
 
 from __future__ import annotations
@@ -62,13 +66,50 @@ def degree_above(S: int, d: int) -> int:
     return count
 
 
+def _layer_points(layers) -> tuple[int, list[set[tuple[int, ...]]]]:
+    """d and the canonical point sets of layers 0..2^{d-1}.
+
+    The last set, one past the top layer, is the antipodal image of the
+    top layer.  Raises ValueError unless ``layers`` are the layers
+    0..2^{d-1}-1 of one d, in order.
+    """
+    if not layers:
+        raise ValueError("no layers")
+    d = layers[0].d
+    top = (1 << (d - 1)) - 1
+    got = [(layer.d, layer.k) for layer in layers]
+    if got != [(d, k) for k in range(top + 1)]:
+        raise ValueError(f"need complete layers 0..{top} of d={d} in order, got {got}")
+    points = [{e.point for e in layer.entries} for layer in layers]
+    corner = 1 << (d - 1)
+    points.append({tuple(sorted(corner - x for x in p)) for p in points[top]})
+    return d, points
+
+
+def _neighbours_in(p, mask, sign, vectors, points) -> int:
+    """How many of the points p + sign * v(g), g in mask, sort into ``points``."""
+    count = 0
+    for g in core.generators_of(mask):
+        count += tuple(sorted([x + sign * y for x, y in zip(p, vectors[g - 1])])) in points
+    return count
+
+
 def layer_degrees(layers) -> list[list[DegreeRecord]]:
-    """DegreeRecords for every canonical vertex of every layer."""
+    """DegreeRecords for every canonical vertex of complete layers 0..2^{d-1}-1."""
+    d, points = _layer_points(layers)
+    vectors = engine.white_whale_vectors(d)
+    full = core.full_mask(d)
     out = []
     for layer in layers:
+        below = points[layer.k - 1] if layer.k else set()
+        above = points[layer.k + 1]
         out.append(
             [
-                DegreeRecord(e, degree_below(e.subset, layer.d), degree_above(e.subset, layer.d))
+                DegreeRecord(
+                    e,
+                    _neighbours_in(e.point, e.subset, -1, vectors, below),
+                    _neighbours_in(e.point, full & ~e.subset, 1, vectors, above),
+                )
                 for e in layer.entries
             ]
         )
@@ -81,54 +122,23 @@ def count_edges(layers) -> EdgeCountReport:
     e(d) = sum over k of the orbit-weighted degrees from below, plus half
     an orbit per top-layer vertex for the edges crossing the center.
     """
-    d = layers[0].d
-    top = (1 << (d - 1)) - 1
-    ks = {layer.k for layer in layers}
-    if ks != set(range(top + 1)):
-        raise ValueError(f"need complete layers 0..{top}, got {sorted(ks)}")
-    by_k = {layer.k: layer for layer in layers}
+    d, points = _layer_points(layers)
+    vectors = engine.white_whale_vectors(d)
     per_layer = []
     degrees = []
-    for k in range(1, top + 1):
-        degs = tuple(degree_below(e.subset, d) for e in by_k[k].entries)
-        total = sum(e.orbit_size * deg for e, deg in zip(by_k[k].entries, degs))
-        per_layer.append((k, total))
+    for layer in layers[1:]:
+        below = points[layer.k - 1]
+        degs = tuple(_neighbours_in(e.point, e.subset, -1, vectors, below) for e in layer.entries)
+        per_layer.append((layer.k, sum(e.orbit_size * deg for e, deg in zip(layer.entries, degs))))
         degrees.append(degs)
     middle = 0
-    for e in by_k[top].entries:
+    for e in layers[-1].entries:
         if e.orbit_size % 2:
             raise AssertionError(f"odd orbit size {e.orbit_size} in the top layer")
         middle += e.orbit_size // 2
     return EdgeCountReport(
         d, tuple(per_layer), middle, sum(t for _, t in per_layer) + middle, tuple(degrees)
     )
-
-
-def degrees_by_membership(layers) -> list[list[DegreeRecord]]:
-    """Oracle-free degrees from layer membership, for cross-validation.
-
-    A neighbour p(S +- {g}) is a vertex iff its sorted point appears in
-    the adjacent layer's canonical point set.  Needs the layer above, so
-    the top layer is skipped.
-    """
-    points = [{e.point for e in layer.entries} for layer in layers]
-    out = []
-    for layer in layers[:-1]:
-        d, k = layer.d, layer.k
-        records = []
-        for e in layer.entries:
-            below = above = 0
-            for g in core.generators_of(e.subset):
-                q = tuple(sorted(core.point_of(e.subset & ~(1 << (g - 1)), d)))
-                below += k > 0 and q in points[k - 1]
-            for g in range(1, core.all_ones_id(d) + 1):
-                if (e.subset >> (g - 1)) & 1:
-                    continue
-                q = tuple(sorted(core.point_increment(e.point, g, d)))
-                above += q in points[k + 1]
-            records.append(DegreeRecord(e, below, above))
-        out.append(records)
-    return out
 
 
 def family_U(d: int, k: int) -> int:

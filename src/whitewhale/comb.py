@@ -55,8 +55,11 @@ def may_extend(S: int, g: int, d: int) -> bool:
     * all-ones: a vertex subset contains (1,...,1) iff it has at least
       2^{d-1} members, so below that size g = (1,...,1) is out, and from
       that size on a vertex S without (1,...,1) can only gain it;
-    * complement: g and (1,...,1) - g both in S + {g} force c.(1,...,1) >= 2,
-      which below the halfway layer contradicts (1,...,1) being outside;
+    * pair-sum closure: every member a of S with support disjoint from g
+      has a + g in S, since c.(a+g) = c.a + c.g >= 2 rules out a + g
+      outside.  Disjoint supports make a | g = a + g as integers, so the
+      members a map to bits shifted by g.  Below the halfway layer this
+      subsumes the complement rule (a = (1,...,1) - g with (1,...,1) out);
     * submask count: of each pair {h, g - h} of proper submasks of g
       exactly one lies in S (c.h + c.(g-h) = c.g >= 1 puts one in, and a
       vertex S holding both would hold g), so
@@ -65,11 +68,14 @@ def may_extend(S: int, g: int, d: int) -> bool:
     """
     ones = (1 << d) - 1
     if S.bit_count() + 1 < 1 << (d - 1):
-        if g == ones or (S >> (ones - g - 1)) & 1:
+        if g == ones:
             return False
     elif g != ones and not (S >> (ones - 1)) & 1:
         return False
-    return (S & submask_table(d)[g]).bit_count() == (1 << (g.bit_count() - 1)) - 1
+    table = submask_table(d)
+    if ((S & table[ones ^ g]) << g) & ~S:
+        return False
+    return (S & table[g]).bit_count() == (1 << (g.bit_count() - 1)) - 1
 
 
 def filter_sorted_extension(p, g: int, d: int) -> bool:

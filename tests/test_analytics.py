@@ -71,18 +71,23 @@ def test_count_edges_carries_degrees_below(generated):
 
 def test_count_edges_needs_complete_layers(generated):
     layers, _ = generated(3)
-    with pytest.raises(ValueError):
-        analytics.count_edges(layers[:-1])
+    for fn in (analytics.count_edges, analytics.layer_degrees):
+        for bad in (layers[:-1], layers[1:], layers[::-1], []):
+            with pytest.raises(ValueError):
+                fn(bad)
 
 
-def test_membership_degrees_match_oracle_degrees(generated):
-    layers, _ = generated(4)
-    by_oracle = analytics.layer_degrees(layers)
-    by_membership = analytics.degrees_by_membership(layers)
-    for oracle_recs, member_recs in zip(by_oracle, by_membership):
-        assert [(r.deg_below, r.deg_above) for r in oracle_recs] == [
-            (r.deg_below, r.deg_above) for r in member_recs
-        ]
+def test_layer_degrees_match_lp_degrees(generated):
+    # membership degrees against the exact oracle on every vertex, top layer included
+    for d in (3, 4, 5):
+        layers, _ = generated(d)
+        records = analytics.layer_degrees(layers)
+        assert [len(recs) for recs in records] == [len(l.entries) for l in layers]
+        for layer, recs in zip(layers, records):
+            for e, r in zip(layer.entries, recs):
+                assert r.canonical == e
+                want = (analytics.degree_below(e.subset, d), analytics.degree_above(e.subset, d))
+                assert (r.deg_below, r.deg_above) == want, (d, layer.k, e.point)
 
 
 def test_family_U_examples():

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import re
 
 import pytest
 
@@ -88,6 +89,16 @@ def test_generate_is_deterministic(tmp_path):
     for k in range(4):
         name = f"layer_d3_k{k}.www"
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_generate_progress_counts_d5(tmp_path, capsys):
+    # candidates and LP calls after the vertex rules of comb.may_extend
+    argv = ["generate", "-d", 5, "--threads", 1, "--layers-dir", tmp_path / "layers"]
+    assert run_cli(*argv) == 0
+    rows = re.findall(r"(\d+) candidates, (\d+) LP calls", capsys.readouterr().err)
+    assert len(rows) == 15
+    assert sum(int(c) for c, _ in rows) == 203
+    assert sum(int(n) for _, n in rows) == 116
 
 
 def test_generate_resume(tmp_path):

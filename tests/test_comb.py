@@ -32,6 +32,19 @@ def test_may_extend_complement_rule():
     assert comb.may_extend(S, 2, 3)
 
 
+def test_may_extend_pair_sum_rule():
+    # (0,0,1) in S and g = (0,1,0) disjoint from it: (0,1,1) must be in S
+    one = core.mask_of([1])
+    assert not comb.may_extend(one, 2, 3)
+    assert not lp.vertex_feasible(one | (1 << (2 - 1)), 3).feasible
+    assert comb.may_extend(core.mask_of([1, 3]), 2, 3)   # (0,1,1) present
+    # at or above the halfway layer, where the complement rule is silent
+    S = core.mask_of([1, 2, 3, 7])                       # p = (1, 3, 3) at d=3
+    assert lp.vertex_feasible(S, 3).feasible
+    assert not comb.may_extend(S, 4, 3)                  # (1,0,0) + (0,0,1) = 5 is out
+    assert not lp.vertex_feasible(S | (1 << (4 - 1)), 3).feasible
+
+
 def test_restricted_count_examples():
     # |S & submasks(g)|, the count the submask rule of may_extend reads
     table = comb.submask_table(3)
