@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shard", type=_shard, default=None, metavar="I/N")
     p.add_argument("--resume-from", type=int, default=None, metavar="K")
     p.add_argument("--store-certificates", action="store_true")
-    p.add_argument("--no-filters", action="store_true", help="run with the LP oracle only")
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")
     p.add_argument(
         "--i-know",
@@ -160,7 +159,6 @@ def cmd_generate(args) -> int:
         max_layer=args.max_layer,
         worker_count=args.threads,
         shard=args.shard,
-        use_filters=not args.no_filters,
         progress=not args.quiet,
     )
     os.makedirs(args.layers_dir, exist_ok=True)

@@ -14,14 +14,12 @@ Three levels of machinery:
   ``comb.may_extend`` then ``comb.filter_sorted_extension`` run before
   each feasibility call.
 
-Only two consecutive layers are ever held in memory.  Workers take
-contiguous slices of the current layer (sibling parents stay together, so
-each worker's dedup set still catches most duplicates) and return partial
-layers; ``merge_partials`` is an associative union keyed by canonical
-point, the same one ``merge-shards`` uses, so output is identical for any
-worker count or shard split.  The candidate counts in the progress lines
-are too; the LP call counts are not, because a point found in two slices
-is tested once in each (d=6: 1,878 LP calls with 1 worker, 2,128 with 2).
+Only two consecutive layers are ever held in memory.  A layer step walks
+the parents in the run's own process and keeps one candidate child per
+sorted point; only the oracle calls go to the worker pool, in point order,
+so the output and every count in the progress lines are identical for any
+worker count.  Shards take ``entries[i::n]`` and ``merge_partials`` joins
+their layers.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ class RunConfig:
     max_layer: int | None = None          # default: the halfway layer 2^{d-1} - 1
     worker_count: int = 1
     shard: tuple[int, int] | None = None  # (index, total)
-    use_filters: bool = True
     progress: bool = False
 
     def __post_init__(self):
@@ -81,36 +78,55 @@ def layer_zero(d: int) -> LayerRecord:
 def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerRecord:
     """Compute layer k + 1 from a complete layer k, for k below cfg.max_layer.
 
-    Applies the shard filter from cfg; with an executor, dispatches
-    contiguous entry slices to its workers.  Returns the merged entries
-    sorted by point.
+    Candidates: each parent of the shard (all of them unless cfg.shard is
+    set) extended by each g outside it that passes ``comb.may_extend`` and
+    then ``comb.filter_sorted_extension``; the first child per sorted point
+    is kept.  Oracle: one ``lp.vertex_feasible`` call per sorted point, in
+    point order, inline or over the executor's workers.  Output: the
+    feasible children, canonicalized, already sorted by point.
+
+    One oracle call per point is sound: a vertex point has a single
+    generator decomposition, so any subset whose point is a permutation of
+    it is a vertex.
     """
     if layer.k >= cfg.max_layer:
         raise ValueError(f"cannot expand layer {layer.k}: the max layer is {cfg.max_layer}")
-    masks = [e.subset for e in layer.entries]
+    d = layer.d
+    parents = layer.entries
     if cfg.shard is not None:
         i, n = cfg.shard
-        masks = masks[i::n]
+        parents = parents[i::n]
     t0 = time.monotonic()
+    full = core.full_mask(d)
+    children: dict[tuple[int, ...], int] = {}
+    candidates = 0
+    for e in parents:
+        for g in core.generators_of(full & ~e.subset):
+            if comb.may_extend(e.subset, g, d) and comb.filter_sorted_extension(e.point, g, d):
+                candidates += 1
+                child_point = tuple(sorted(core.point_increment(e.point, g, d)))
+                children.setdefault(child_point, e.subset | (1 << (g - 1)))
+    masks = [children[p] for p in sorted(children)]
     if executor is None:
-        results = [_expand_chunk((layer.d, masks, cfg.use_filters))]
+        results = [lp.vertex_feasible(S, d) for S in masks]
     else:
-        args = [(layer.d, c, cfg.use_filters) for c in _slice(masks, _pool_size(cfg))]
-        results = list(executor.map(_expand_chunk, args))
-    merged = merge_partials([LayerRecord(layer.d, layer.k + 1, r[0]) for r in results])
+        chunk = max(1, math.ceil(len(masks) / _pool_size(cfg)))
+        results = list(executor.map(lp.vertex_feasible, masks, [d] * len(masks), chunksize=chunk))
+    entries = tuple(
+        comb.canonicalize(S, d, r.certificate) for S, r in zip(masks, results) if r.feasible
+    )
+    nxt = LayerRecord(d, layer.k + 1, entries)
     if cfg.progress:
-        candidates = sum(r[1] for r in results)
-        lp_calls = sum(r[2] for r in results)
         print(
-            f"layer {merged.k}: {len(merged.entries)} entries, {candidates} candidates, "
-            f"{lp_calls} LP calls, {time.monotonic() - t0:.1f} seconds",
+            f"layer {nxt.k}: {len(nxt.entries)} entries, {candidates} candidates, "
+            f"{len(masks)} LP calls, {time.monotonic() - t0:.1f} seconds",
             file=sys.stderr,
         )
-    return merged
+    return nxt
 
 
 def merge_partials(parts: list[LayerRecord]) -> LayerRecord:
-    """Union of partial layers (worker slices or shards), sorted by point.
+    """Union of the shard layers of one (d, k), sorted by point.
 
     Raises ValueError on empty or mixed (d, k) input, and AssertionError
     when two parts hold different subsets for one point.
@@ -166,49 +182,12 @@ def run(cfg: RunConfig) -> list[LayerRecord]:
     return list(generate(cfg))
 
 
-def _slice(masks, parts):
-    if parts <= 1 or len(masks) <= 1:
-        return [masks]
-    size = math.ceil(len(masks) / parts)
-    return [masks[i : i + size] for i in range(0, len(masks), size)]
-
-
-def _expand_chunk(args):
-    """Expand a slice of layer-k subsets; returns (canonical vertices, counters).
-
-    Filter order: the vertex rules of ``comb.may_extend``, the symmetry
-    rule ``comb.filter_sorted_extension``, the dedup set, then the exact
-    feasibility oracle.
-    """
-    d, masks, use_filters = args
-    full = core.full_mask(d)
-    found: dict[tuple[int, ...], comb.CanonicalVertex] = {}
-    candidates = lp_calls = 0
-    for S in masks:
-        p = core.point_of(S, d)
-        for g in core.generators_of(full & ~S):
-            if use_filters and not (
-                comb.may_extend(S, g, d) and comb.filter_sorted_extension(p, g, d)
-            ):
-                continue
-            candidates += 1
-            child_point = tuple(sorted(core.point_increment(p, g, d)))
-            if child_point in found:
-                continue
-            child = S | (1 << (g - 1))
-            result = lp.vertex_feasible(child, d)
-            lp_calls += 1
-            if result.feasible:
-                found[child_point] = comb.canonicalize(child, d, result.certificate)
-    return tuple(found.values()), candidates, lp_calls
-
-
 def white_whale_vectors(d: int) -> list[tuple[int, ...]]:
     """The full generator list of the d-dimensional White Whale, ordered by id."""
     return [core.vector_of(g, d) for g in range(1, (1 << d))]
 
 
-def generate_generic(G, use_symmetry: bool, pre_oracle=None, cfg: RunConfig | None = None):
+def generate_generic(G, use_symmetry: bool, pre_oracle=None):
     """Layered vertex generation over an arbitrary integer generator list.
 
     With ``use_symmetry=False``: the plain layered scan over all layers
@@ -227,8 +206,6 @@ def generate_generic(G, use_symmetry: bool, pre_oracle=None, cfg: RunConfig | No
     _check_no_collinear(vectors)
     m = len(vectors)
     top = m // 2 if use_symmetry else m
-    if cfg is not None and cfg.max_layer is not None and not use_symmetry:
-        top = min(top, cfg.max_layer)
     index_of = {v: j for j, v in enumerate(vectors)}
 
     origin = (0,) * d

@@ -201,7 +201,7 @@ def test_option_surface():
     common = {"-h", "--help", "-d", "--layers-dir"}
     assert _options("generate") == common | {
         "--max-layer", "--threads", "--shard", "--resume-from", "--store-certificates",
-        "--no-filters", "--quiet", "--i-know",
+        "--quiet", "--i-know",
     }
     assert _options("edges") == common
     assert _options("degrees") == common

@@ -83,7 +83,7 @@ def test_may_extend_soundness_exhaustive():
     vertex_sets = {
         4: analytics.white_whale_brute_force(4),
         5: analytics.all_vertices_from_layers(
-            engine.run(engine.RunConfig(d=5, use_filters=False))
+            engine.generate_generic(engine.white_whale_vectors(5), use_symmetry=True)
         ),
     }
     for d, vertices in vertex_sets.items():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from whitewhale import analytics, comb, core, engine, layerfile, tables
@@ -5,6 +7,10 @@ from whitewhale import analytics, comb, core, engine, layerfile, tables
 
 def points(layer):
     return [e.point for e in layer.entries]
+
+
+def rows(layer):
+    return [(e.subset, e.point, e.orbit_size) for e in layer.entries]
 
 
 def test_layer_zero():
@@ -99,13 +105,12 @@ def test_generic_algorithm1_full_layers():
         assert set(points(layer)) == want
 
 
-def test_generic_algorithm2_matches_specialized(generated):
-    layers, _ = generated(4)
-    generic = engine.generate_generic(engine.white_whale_vectors(4), use_symmetry=True)
-    assert [points(l) for l in generic] == [points(l) for l in layers]
-    assert [[e.orbit_size for e in l.entries] for l in generic] == [
-        [e.orbit_size for e in l.entries] for l in layers
-    ]
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_generic_algorithm2_matches_specialized(generated, d):
+    # the LP-only orbitwise scan is the reference for the filtered engine
+    layers, _ = generated(d)
+    generic = engine.generate_generic(engine.white_whale_vectors(d), use_symmetry=True)
+    assert [rows(l) for l in generic] == [rows(l) for l in layers]
 
 
 def test_generic_with_pre_oracle(generated):
@@ -129,15 +134,6 @@ def test_generic_rejects_collinear():
         engine.generate_generic([], use_symmetry=False)
 
 
-def test_filters_off_matches_filters_on_d3(generated):
-    layers, _ = generated(3)
-    plain = engine.run(engine.RunConfig(d=3, use_filters=False))
-    assert [points(l) for l in plain] == [points(l) for l in layers]
-    assert [[e.subset for e in l.entries] for l in plain] == [
-        [e.subset for e in l.entries] for l in layers
-    ]
-
-
 def test_worker_count_does_not_change_output(generated):
     layers, _ = generated(4)
     parallel = engine.run(engine.RunConfig(d=4, worker_count=3))
@@ -146,40 +142,75 @@ def test_worker_count_does_not_change_output(generated):
     ]
 
 
-def test_fresh_run_uses_one_capped_pool(monkeypatch, generated):
-    layers, _ = generated(4)
-    pools = []
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
 
-    class InlinePool:
-        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+    def __init__(self, max_workers, opened):
+        self.max_workers, self.mapped, self.chunks = max_workers, 0, []
+        opened.append(self)
 
-        def __init__(self, max_workers):
-            self.max_workers, self.mapped = max_workers, 0
-            pools.append(self)
+    def map(self, fn, *iterables, chunksize=1):
+        args = list(zip(*iterables))
+        self.mapped += len(args)
+        self.chunks.append((len(args), chunksize))
+        return [fn(*a) for a in args]
 
-        def map(self, fn, items):
-            items = list(items)
-            self.mapped += len(items)
-            return map(fn, items)
+    def shutdown(self):
+        pass
 
-        def shutdown(self):
-            pass
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Replaces the engine's process pool with InlinePool on a 4-CPU host;
+    returns the list of pools opened."""
+    opened = []
+    monkeypatch.setattr(
+        engine, "ProcessPoolExecutor", lambda max_workers: InlinePool(max_workers, opened)
+    )
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    return opened
+
+
+def test_fresh_run_uses_one_capped_pool(monkeypatch, generated, inline_pools):
+    layers, _ = generated(4)
     got = engine.run(engine.RunConfig(d=4, worker_count=2))
     assert [layerfile.render(l) for l in got] == [layerfile.render(l) for l in layers]
-    (pool,) = pools
+    (pool,) = inline_pools
     assert pool.max_workers == 2
     assert pool.mapped > len(layers) - 1  # later layers are split across both workers
-    pools.clear()
+    assert any(n > chunk for n, chunk in pool.chunks)
+    inline_pools.clear()
     engine.run(engine.RunConfig(d=4, worker_count=10_000))
-    (pool,) = pools
+    (pool,) = inline_pools
     assert pool.max_workers == 4
-    pools.clear()
+    inline_pools.clear()
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 1)
     engine.run(engine.RunConfig(d=4, worker_count=2))
-    assert pools == []
+    assert inline_pools == []
+
+
+def test_progress_counts_do_not_depend_on_worker_count(capsys, inline_pools):
+    # one oracle call per sorted point, whatever the pool size
+    lines = []
+    for workers in (1, 2, 3):
+        engine.run(engine.RunConfig(d=5, worker_count=workers, progress=True))
+        lines.append(re.sub(r", [0-9.]+ seconds", "", capsys.readouterr().err))
+    assert len(inline_pools) == 2
+    assert lines[0].count("\n") == 15
+    assert lines[1] == lines[0] and lines[2] == lines[0]
+
+
+def test_one_oracle_call_per_sorted_point_is_sound():
+    # every subset whose sorted point is that of a vertex is itself a vertex
+    d = 4
+    vertices = analytics.white_whale_brute_force(d)
+    verdicts: dict[tuple[int, ...], set[bool]] = {}
+    for S in range(1 << ((1 << d) - 1)):
+        key = tuple(sorted(core.point_of(S, d)))
+        verdicts.setdefault(key, set()).add(S in vertices)
+    assert any(True in v for v in verdicts.values())
+    assert any(False in v for v in verdicts.values())
+    assert all(len(v) == 1 for v in verdicts.values())
 
 
 def test_shard_union_equals_unsharded(generated):
