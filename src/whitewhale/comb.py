@@ -3,7 +3,8 @@
 ``may_extend`` certifies non-vertices cheaply so that the expensive exact
 feasibility oracle is only called on surviving candidates.  It is a
 necessary condition for vertexhood (given that the subset being extended
-is itself a vertex), so pruning never loses a vertex.
+is itself a vertex), so pruning never loses a vertex.  ``shift_closed`` is
+the same kind of necessary condition for a canonical subset.
 ``filter_sorted_extension`` only drops candidates that a sorted sibling
 duplicates under coordinate permutations.
 """
@@ -78,6 +79,51 @@ def may_extend(S: int, g: int, d: int) -> bool:
     return (S & table[g]).bit_count() == (1 << (g.bit_count() - 1)) - 1
 
 
+@lru_cache(maxsize=None)
+def shift_table(d: int) -> tuple[tuple[int, int], ...]:
+    """(A_i, s_i) for i = 0..d-2, built once per dimension.
+
+    A_i is the mask of the generators with coordinate i set and coordinate
+    i + 1 clear (coordinates 0-indexed), and s_i = 2^{d-2-i}: g - s_i is g
+    with that 1 moved to coordinate i + 1, so the bits of S & A_i shifted
+    right by s_i are the images of the members of S under that move.
+    """
+    core.check_dimension(d)
+    table = []
+    for i in range(d - 1):
+        hi, lo = 1 << (d - 1 - i), 1 << (d - 2 - i)
+        A = 0
+        for g in range(1, 1 << d):
+            if g & hi and not g & lo:
+                A |= 1 << (g - 1)
+        table.append((A, lo))
+    return tuple(table)
+
+
+def shift_closed(S: int, d: int) -> bool:
+    """Necessary condition for a subset with nondecreasing point to be a
+    vertex: moving a 1 of a member to a later coordinate gives a member.
+
+    Soundness: let c certify S (c.g >= 1 on S, <= -1 outside) and let
+    c_i > c_j for some i < j.  Moving the 1 of a member from coordinate j
+    to coordinate i raises its c-value, so it stays a member; this injects
+    the members with j set and i clear into those with i set and j clear,
+    so p_j <= p_i, and p_i = p_j as p is nondecreasing.  Swapping two tied
+    coordinates fixes the point, hence fixes S (a vertex point has a single
+    decomposition), so the stabilizer of S holds every permutation of each
+    tied block.  Averaging c over that stabilizer gives a certificate of S
+    that is constant on tied blocks and, as c_i <= c_j whenever p_i < p_j,
+    nondecreasing across them.  With c nondecreasing, c.g' >= c.g when g'
+    moves a 1 of g to a later coordinate; adjacent moves generate all such
+    moves, so d - 1 mask tests decide it.  These S are the regular (2-monotonic) threshold functions
+    of Muroga (1971) and the shifted families of Frankl (1987).
+    """
+    for A, s in shift_table(d):
+        if ((S & A) >> s) & ~S:
+            return False
+    return True
+
+
 def filter_sorted_extension(p, g: int, d: int) -> bool:
     """Keep only extensions whose generator is sorted within tied point blocks.
 
@@ -136,19 +182,16 @@ def permute_subset(S: int, perm, d: int) -> int:
     return out
 
 
-def canonicalize(S: int, d: int, certificate=None) -> CanonicalVertex:
-    """Canonical representative of a vertex subset.
+def canonicalize(S: int, p, d: int) -> CanonicalVertex:
+    """Canonical representative of the subset S with point p.
 
-    Sorts the point nondecreasing and relabels the subset accordingly.
-    For a vertex, every sorting permutation yields the same subset
-    (decompositions into generators are unique), so tie handling is
-    immaterial.  The caller guarantees S is a vertex.
+    Sorts the point nondecreasing (stable on ties) and relabels the subset
+    accordingly.  For a vertex, every sorting permutation yields the same
+    subset (decompositions into generators are unique), so tie handling is
+    immaterial.
     """
-    p = core.point_of(S, d)
     perm = sorting_permutation(p)
     point = tuple(p[i] for i in perm)
-    subset = permute_subset(S, perm, d)
-    cert = None
-    if certificate is not None:
-        cert = tuple(certificate[i] for i in perm)
-    return CanonicalVertex(subset, point, orbit_size(point, d), cert)
+    if point != tuple(p):  # a sorted p has the identity as its stable sort
+        S = permute_subset(S, perm, d)
+    return CanonicalVertex(S, point, orbit_size(point, d))

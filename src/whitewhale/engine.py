@@ -11,8 +11,9 @@ Three levels of machinery:
   halfway layer; central symmetry supplies the other half.
 * ``generate`` / ``expand_layer`` are the White Whale specialization:
   subsets are bitmasks over the integer-encoded generators, and
-  ``comb.may_extend`` then ``comb.filter_sorted_extension`` run before
-  each feasibility call.
+  ``comb.may_extend`` then ``comb.filter_sorted_extension`` run on each
+  candidate, and ``comb.shift_closed`` on each canonical child, before
+  its feasibility call.
 
 Only two consecutive layers are ever held in memory.  A layer step walks
 the parents in the run's own process and keeps one candidate child per
@@ -81,13 +82,14 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
     Candidates: each parent of the shard (all of them unless cfg.shard is
     set) extended by each g outside it that passes ``comb.may_extend`` and
     then ``comb.filter_sorted_extension``; the first child per sorted point
-    is kept.  Oracle: one ``lp.vertex_feasible`` call per sorted point, in
-    point order, inline or over the executor's workers.  Output: the
-    feasible children, canonicalized, already sorted by point.
+    is kept and canonicalized, and dropped unless ``comb.shift_closed``.
+    Oracle: one ``lp.vertex_feasible`` call per remaining canonical child,
+    in point order, inline or over the executor's workers.  Output: the
+    feasible children with their certificates, already sorted by point.
 
     One oracle call per point is sound: a vertex point has a single
     generator decomposition, so any subset whose point is a permutation of
-    it is a vertex.
+    it is a vertex, and the canonical child is a vertex iff the first one is.
     """
     if layer.k >= cfg.max_layer:
         raise ValueError(f"cannot expand layer {layer.k}: the max layer is {cfg.max_layer}")
@@ -98,22 +100,26 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
         parents = parents[i::n]
     t0 = time.monotonic()
     full = core.full_mask(d)
-    children: dict[tuple[int, ...], int] = {}
+    children: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
     candidates = 0
     for e in parents:
         for g in core.generators_of(full & ~e.subset):
             if comb.may_extend(e.subset, g, d) and comb.filter_sorted_extension(e.point, g, d):
                 candidates += 1
-                child_point = tuple(sorted(core.point_increment(e.point, g, d)))
-                children.setdefault(child_point, e.subset | (1 << (g - 1)))
-    masks = [children[p] for p in sorted(children)]
+                point = core.point_increment(e.point, g, d)
+                children.setdefault(tuple(sorted(point)), (e.subset | (1 << (g - 1)), point))
+    canon = [comb.canonicalize(S, p, d) for S, p in (children[q] for q in sorted(children))]
+    canon = [cv for cv in canon if comb.shift_closed(cv.subset, d)]
+    masks = [cv.subset for cv in canon]
     if executor is None:
         results = [lp.vertex_feasible(S, d) for S in masks]
     else:
         chunk = max(1, math.ceil(len(masks) / _pool_size(cfg)))
         results = list(executor.map(lp.vertex_feasible, masks, [d] * len(masks), chunksize=chunk))
     entries = tuple(
-        comb.canonicalize(S, d, r.certificate) for S, r in zip(masks, results) if r.feasible
+        comb.CanonicalVertex(cv.subset, cv.point, cv.orbit_size, r.certificate)
+        for cv, r in zip(canon, results)
+        if r.feasible
     )
     nxt = LayerRecord(d, layer.k + 1, entries)
     if cfg.progress:
@@ -187,15 +193,13 @@ def white_whale_vectors(d: int) -> list[tuple[int, ...]]:
     return [core.vector_of(g, d) for g in range(1, (1 << d))]
 
 
-def generate_generic(G, use_symmetry: bool, pre_oracle=None):
+def generate_generic(G, use_symmetry: bool):
     """Layered vertex generation over an arbitrary integer generator list.
 
     With ``use_symmetry=False``: the plain layered scan over all layers
     0..m, entries carrying their actual (unsorted) points with orbit size 1.
     With ``use_symmetry=True``: orbitwise generation up to layer floor(m/2),
-    assuming G is invariant under coordinate permutations.  ``pre_oracle``
-    is an optional predicate(mask, j) consulted before each feasibility
-    call; it must only return False for certified non-vertices.
+    assuming G is invariant under coordinate permutations.
 
     Returns the list of LayerRecords.
     """
@@ -217,8 +221,6 @@ def generate_generic(G, use_symmetry: bool, pre_oracle=None):
         for point, S in current.items():
             for j in range(m):
                 if (S >> j) & 1:
-                    continue
-                if pre_oracle is not None and not pre_oracle(S, j):
                     continue
                 child_point = tuple(a + b for a, b in zip(point, vectors[j]))
                 if use_symmetry:

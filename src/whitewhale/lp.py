@@ -15,15 +15,20 @@ using fraction-free integer pivoting (all tableau entries stay integers)
 and Bland's least-index rule, so verdicts are deterministic and free of
 rounding.  When the minimum is positive, the dual solution yields an
 exact rational certificate c, which is always re-verified before being
-returned.
+returned.  Cone columns b (with 0 in the convexity row) may be added to
+the balance equations; they ask in addition for c.b >= 0.
+``vertex_feasible`` uses them to look only for nondecreasing c on
+canonical subsets, which needs far fewer rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from . import core
+from . import comb, core
 
 _MAX_PIVOTS = 100_000
 
@@ -34,29 +39,50 @@ class FeasibilityResult:
     certificate: tuple[Fraction, ...] | None = None
 
 
-def feasibility(rows) -> FeasibilityResult:
-    """Decide whether some c satisfies c.a >= 1 for every integer row a.
+def feasibility(rows, cone=()) -> FeasibilityResult:
+    """Decide whether some c satisfies c.a >= 1 for every integer row a and
+    c.b >= 0 for every integer cone column b.
 
-    Exact; returns a verified rational certificate when feasible.
+    Exact; returns a rational certificate, verified on every row and cone
+    column, when feasible.
     """
     rows = [tuple(r) for r in rows]
     if not rows:
         raise ValueError("empty constraint system")
     d = len(rows[0])
-    if any(len(r) != d for r in rows):
+    if any(len(r) != d for r in rows) or any(len(b) != d for b in cone):
         raise ValueError("rows of mixed dimension")
-    cert = _phase_one(rows, d)
+    cert = _phase_one(rows, d, cone)
     if cert is None:
         return FeasibilityResult(False, None)
     nums, den = cert
-    _check_rows(nums, den, rows)
+    if any(_dot(nums, r) < den for r in rows) or any(_dot(nums, b) < 0 for b in cone):
+        raise AssertionError("internal error: certificate failed exact re-verification")
     return FeasibilityResult(True, tuple(Fraction(n, den) for n in nums))
 
 
 def vertex_feasible(S: int, d: int) -> FeasibilityResult:
-    """Vertex test for a subset mask over the full White Whale generator set."""
+    """Vertex test for a subset mask over the full White Whale generator set.
+
+    A shift-closed S (see ``comb.shift_closed``) has a nondecreasing point,
+    and if it is a vertex then some certificate is nondecreasing.  So the
+    oracle adds the d - 1 cone columns e_{i+1} - e_i, which force c to be
+    nondecreasing, and keeps only the rows that can bind for such c: the
+    shift-minimal members and the shift-maximal non-members (every other
+    row is implied).  Any other S gets all 2^d - 1 rows.  The certificate
+    is re-verified on all 2^d - 1 rows in exact integer arithmetic.
+    """
     core.check_dimension(d)
-    return feasibility(signed_rows(S, d))
+    if comb.shift_closed(S, d):
+        cert = _phase_one(_binding_rows(S, d), d, _cone_columns(d))
+    else:
+        cert = _phase_one(signed_rows(S, d), d)
+    if cert is None:
+        return FeasibilityResult(False, None)
+    nums, den = cert
+    if not _separates(nums, den, S, d):
+        raise AssertionError("internal error: certificate failed exact re-verification")
+    return FeasibilityResult(True, tuple(Fraction(n, den) for n in nums))
 
 
 def vertex_feasible_vectors(mask: int, vectors) -> FeasibilityResult:
@@ -72,16 +98,46 @@ def vertex_feasible_vectors(mask: int, vectors) -> FeasibilityResult:
     return feasibility(rows)
 
 
+@lru_cache(maxsize=None)
+def _generator_rows(d: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(+g, -g) as coordinate tuples for every generator id g; entry 0 unused."""
+    out = [((), ())]
+    for g in range(1, 1 << d):
+        v = tuple((g >> (d - 1 - i)) & 1 for i in range(d))
+        out.append((v, tuple(-x for x in v)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _cone_columns(d: int) -> tuple[tuple[int, ...], ...]:
+    """e_{i+1} - e_i for i = 0..d-2: c.b >= 0 on them makes c nondecreasing."""
+    return tuple(
+        tuple(-1 if j == i else 1 if j == i + 1 else 0 for j in range(d)) for i in range(d - 1)
+    )
+
+
 def signed_rows(S: int, d: int) -> list[tuple[int, ...]]:
     """The constraint rows of the vertex test: +g for g in S, -g outside."""
-    rows = []
-    for g in range(1, (1 << d)):
-        v = [(g >> (d - 1 - i)) & 1 for i in range(d)]
-        if (S >> (g - 1)) & 1:
-            rows.append(tuple(v))
-        else:
-            rows.append(tuple(-x for x in v))
-    return rows
+    table = _generator_rows(d)
+    return [table[g][0 if (S >> (g - 1)) & 1 else 1] for g in range(1, 1 << d)]
+
+
+def _binding_rows(S: int, d: int) -> list[tuple[int, ...]]:
+    """The rows of a shift-closed S that can bind for a nondecreasing c, in id order.
+
+    Let h' be h with a 1 moved to the next coordinate, so c.h <= c.h'.  A
+    member h' with h in S gets c.h' >= c.h >= 1 from h's row, and a
+    non-member h with h' outside S gets c.h <= c.h' <= -1 from the row of
+    h'.  What is left are the shift-minimal members and the shift-maximal
+    non-members.
+    """
+    full = core.full_mask(d)
+    out = full & ~S
+    implied = 0
+    for A, s in comb.shift_table(d):
+        implied |= ((S & A) >> s) | (out & A & (out << s))
+    table = _generator_rows(d)
+    return [table[g][0 if (S >> (g - 1)) & 1 else 1] for g in core.generators_of(full & ~implied)]
 
 
 def verify_certificate(c, S: int, d: int) -> bool:
@@ -89,29 +145,41 @@ def verify_certificate(c, S: int, d: int) -> bool:
     c = [Fraction(x) for x in c]
     if len(c) != d:
         raise ValueError(f"certificate has {len(c)} coordinates, expected {d}")
-    for g in range(1, (1 << d)):
-        dot = sum(c[i] for i in range(d) if (g >> (d - 1 - i)) & 1)
+    den = math.lcm(*(x.denominator for x in c))
+    return _separates([x.numerator * (den // x.denominator) for x in c], den, S, d)
+
+
+def _separates(nums, den, S: int, d: int) -> bool:
+    """c = nums / den (den > 0) has c.g >= 1 on S and c.g <= -1 outside S,
+    over all 2^d - 1 generators, by one subset-sum pass in integers:
+    dot[g] = dot[g minus its lowest bit] + nums[coordinate of that bit]."""
+    dot = [0] * (1 << d)
+    for g in range(1, 1 << d):
+        low = g & -g
+        v = dot[g] = dot[g ^ low] + nums[d - low.bit_length()]
         if (S >> (g - 1)) & 1:
-            if dot < 1:
+            if v < den:
                 return False
-        elif dot > -1:
+        elif v > -den:
             return False
     return True
 
 
-def _check_rows(nums, den, rows) -> None:
-    for r in rows:
-        if sum(n * x for n, x in zip(nums, r)) < den:
-            raise AssertionError("internal error: certificate failed exact re-verification")
+def _dot(nums, r) -> int:
+    return sum(n * x for n, x in zip(nums, r))
 
 
-def _phase_one(rows, d):
-    """Fraction-free phase-one simplex deciding 0 in conv(rows).
+def _phase_one(rows, d, cone=()):
+    """Fraction-free phase-one simplex deciding 0 in conv(rows) + cone(cone).
 
-    Returns None when the origin is a convex combination of the rows
-    (system infeasible), else (numerators, denominator) of a separating c.
+    Cone columns enter the balance equations like rows but carry 0 in the
+    convexity row.  Returns None when the origin is a convex combination of
+    the rows plus a nonnegative combination of the cone columns (system
+    infeasible), else (numerators, denominator) of a c with c.a >= 1 on
+    the rows and c.b >= 0 on the cone columns; the denominator is positive.
     """
-    n = len(rows)
+    cols = list(rows) + list(cone)
+    n = len(cols)
     n_rows = d + 1          # d balance equations plus the convexity row
     n_cols = n + n_rows + 1  # lambdas, artificials, right-hand side
     rhs = n_cols - 1
@@ -119,15 +187,15 @@ def _phase_one(rows, d):
 
     tab = []
     for i in range(d):
-        row = [rows[j][i] for j in range(n)] + [0] * (n_rows + 1)
+        row = [col[i] for col in cols] + [0] * (n_rows + 1)
         row[art0 + i] = 1
         tab.append(row)
-    conv = [1] * n + [0] * (n_rows + 1)
+    conv = [1] * len(rows) + [0] * (len(cone) + n_rows + 1)
     conv[art0 + d] = 1
     conv[rhs] = 1
     tab.append(conv)
     # Reduced costs of min(sum of artificials) with the artificial basis.
-    obj = [sum(rows[j]) + 1 for j in range(n)] + [0] * n_rows + [1]
+    obj = [sum(r) + 1 for r in rows] + [sum(b) for b in cone] + [0] * n_rows + [1]
     tab.append(obj)
 
     basis = list(range(art0, art0 + n_rows))

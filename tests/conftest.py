@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from whitewhale import engine
+from whitewhale import analytics, engine
 
 _cache: dict[int, tuple[list, float]] = {}
 
@@ -19,3 +19,9 @@ def generated():
         return _cache[d]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def brute_force_d4():
+    """Every vertex subset at d=4, from the all-rows oracle over all 2^15 subsets."""
+    return analytics.white_whale_brute_force(4)

@@ -92,13 +92,14 @@ def test_generate_is_deterministic(tmp_path):
 
 
 def test_generate_progress_counts_d5(tmp_path, capsys):
-    # candidates and LP calls after the vertex rules of comb.may_extend
+    # candidates after the vertex rules of comb.may_extend, and LP calls
+    # after comb.shift_closed, which rejects all 5 non-vertex calls
     argv = ["generate", "-d", 5, "--threads", 1, "--layers-dir", tmp_path / "layers"]
     assert run_cli(*argv) == 0
     rows = re.findall(r"(\d+) candidates, (\d+) LP calls", capsys.readouterr().err)
     assert len(rows) == 15
     assert sum(int(c) for c, _ in rows) == 203
-    assert sum(int(n) for _, n in rows) == 116
+    assert sum(int(n) for _, n in rows) == 111
 
 
 def test_generate_resume(tmp_path):
@@ -262,6 +263,16 @@ def test_verify_cli_passes(tmp_path, capsys):
     assert run_cli("verify", "-d", 3, "--mode", "all", "--layers-dir", layers_dir) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+    assert "FAIL" not in out
+
+
+def test_verify_checks_edges_at_d6(tmp_path, capsys, generated):
+    layers, _ = generated(6)
+    for layer in layers:
+        layerfile.write_layer(layerfile.layer_path(str(tmp_path), 6, layer.k), layer)
+    assert run_cli("verify", "-d", 6, "--layers-dir", tmp_path) == 0
+    out = capsys.readouterr().out
+    assert "e(6) == 3662064: PASS" in out.splitlines()
     assert "FAIL" not in out
 
 

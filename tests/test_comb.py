@@ -77,11 +77,11 @@ def test_support_bound_filter_examples():
     assert lp.vertex_feasible(seven | (1 << (15 - 1)), 4).feasible
 
 
-def test_may_extend_soundness_exhaustive():
+def test_may_extend_soundness_exhaustive(brute_force_d4):
     # a rejection must imply the extension is not a vertex, for every vertex
     # S and every g outside it; vertex sets come from paths without the rule
     vertex_sets = {
-        4: analytics.white_whale_brute_force(4),
+        4: brute_force_d4,
         5: analytics.all_vertices_from_layers(
             engine.generate_generic(engine.white_whale_vectors(5), use_symmetry=True)
         ),
@@ -111,13 +111,13 @@ def test_orbit_size_examples():
 
 
 def test_canonicalize_examples():
-    cv = comb.canonicalize(core.mask_of([2, 3]), 3)
+    cv = comb.canonicalize(core.mask_of([2, 3]), (0, 2, 1), 3)
     assert cv.subset == core.mask_of([1, 3])
     assert cv.point == (0, 1, 2)
-    cv = comb.canonicalize(core.mask_of([1, 3, 5]), 3)
+    cv = comb.canonicalize(core.mask_of([1, 3, 5]), (1, 1, 3), 3)
     assert cv.subset == core.mask_of([1, 3, 5])
     assert cv.point == (1, 1, 3)
-    cv = comb.canonicalize(0, 3)
+    cv = comb.canonicalize(0, (0, 0, 0), 3)
     assert (cv.subset, cv.point, cv.orbit_size) == (0, (0, 0, 0), 2)
 
 
@@ -132,7 +132,7 @@ def test_canonicalize_well_defined_on_ties():
             continue
         if not lp.vertex_feasible(S, 4).feasible:
             continue
-        want = comb.canonicalize(S, 4).subset
+        want = comb.canonicalize(S, p, 4).subset
         for perm in itertools.permutations(range(4)):
             if tuple(p[i] for i in perm) == tuple(sorted(p)):
                 assert comb.permute_subset(S, perm, 4) == want
@@ -140,11 +140,42 @@ def test_canonicalize_well_defined_on_ties():
     assert checked > 0
 
 
-def test_canonicalize_permutes_certificate():
-    S = core.mask_of([2, 3])
-    cert = lp.vertex_feasible(S, 3).certificate
-    cv = comb.canonicalize(S, 3, cert)
-    assert lp.verify_certificate(cv.certificate, cv.subset, 3)
+def test_shift_table_moves_one_coordinate_later():
+    for d in (2, 3, 4, 5):
+        table = comb.shift_table(d)
+        assert len(table) == d - 1
+        for i, (A, s) in enumerate(table):
+            for g in core.generators_of(A):
+                v, w = core.vector_of(g, d), core.vector_of(g - s, d)
+                assert v[i] == 1 and v[i + 1] == 0
+                assert w[:i] + w[i + 2:] == v[:i] + v[i + 2:] and (w[i], w[i + 1]) == (0, 1)
+
+
+def test_shift_closed_examples():
+    assert comb.shift_closed(0, 3)
+    assert comb.shift_closed(core.mask_of([1]), 3)             # (0,0,1)
+    assert not comb.shift_closed(core.mask_of([4]), 3)         # (1,0,0) without (0,1,0)
+    assert comb.shift_closed(core.mask_of([1, 2, 3]), 3)       # W3^2
+    # necessary, not sufficient: (0,0,1) + (0,1,0) + (1,0,0) = (1,1,1)
+    assert comb.shift_closed(core.mask_of([1, 2, 4]), 3)
+    assert not lp.vertex_feasible(core.mask_of([1, 2, 4]), 3).feasible
+    assert comb.shift_closed(core.mask_of([1, 3, 5]), 3)       # U3^2, point (1,1,3)
+
+
+def test_shift_closure_soundness_exhaustive(brute_force_d4):
+    # every canonical vertex is shift-closed: all of them at d=4 (brute
+    # force), and every orbit of the LP-only orbitwise scan at d=5
+    checked = 0
+    for S in brute_force_d4:
+        cv = comb.canonicalize(S, core.point_of(S, 4), 4)
+        assert comb.shift_closed(cv.subset, 4), S
+        checked += 1
+    assert checked == 370
+    layers = engine.generate_generic(engine.white_whale_vectors(5), use_symmetry=True)
+    for layer in layers:
+        for e in layer.entries:
+            assert comb.shift_closed(e.subset, 5), e.point
+    assert sum(len(l.entries) for l in layers) == 112
 
 
 def test_permute_generator_roundtrip():

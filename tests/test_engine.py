@@ -77,14 +77,15 @@ def test_generate_rejects_wrong_start_dimension():
         list(engine.generate(engine.RunConfig(d=4), engine.layer_zero(3)))
 
 
-def test_store_certificates_verify():
+def test_store_certificates_verify(generated):
+    # engine certificates come from the reduced oracle and must hold on all
+    # 2^d - 1 rows of the canonical subset
     from whitewhale import lp
 
-    cfg = engine.RunConfig(d=3)
-    for layer in engine.generate(cfg):
-        for e in layer.entries:
-            if layer.k:
-                assert lp.verify_certificate(e.certificate, e.subset, 3)
+    for d in (3, 4, 5):
+        for layer in generated(d)[0][1:]:
+            for e in layer.entries:
+                assert lp.verify_certificate(e.certificate, e.subset, d)
 
 
 def test_generic_cube():
@@ -111,18 +112,6 @@ def test_generic_algorithm2_matches_specialized(generated, d):
     layers, _ = generated(d)
     generic = engine.generate_generic(engine.white_whale_vectors(d), use_symmetry=True)
     assert [rows(l) for l in generic] == [rows(l) for l in layers]
-
-
-def test_generic_with_pre_oracle(generated):
-    layers, _ = generated(4)
-
-    def pre(mask, j):
-        return comb.may_extend(mask, j + 1, 4)
-
-    generic = engine.generate_generic(
-        engine.white_whale_vectors(4), use_symmetry=True, pre_oracle=pre
-    )
-    assert [points(l) for l in generic] == [points(l) for l in layers]
 
 
 def test_generic_rejects_collinear():
@@ -200,10 +189,10 @@ def test_progress_counts_do_not_depend_on_worker_count(capsys, inline_pools):
     assert lines[1] == lines[0] and lines[2] == lines[0]
 
 
-def test_one_oracle_call_per_sorted_point_is_sound():
+def test_one_oracle_call_per_sorted_point_is_sound(brute_force_d4):
     # every subset whose sorted point is that of a vertex is itself a vertex
     d = 4
-    vertices = analytics.white_whale_brute_force(d)
+    vertices = brute_force_d4
     verdicts: dict[tuple[int, ...], set[bool]] = {}
     for S in range(1 << ((1 << d) - 1)):
         key = tuple(sorted(core.point_of(S, d)))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from whitewhale import core, lp
+from whitewhale import comb, core, lp
 
 
 def test_vertex_feasible_examples():
@@ -74,8 +74,6 @@ def test_antipodal_symmetry():
 
 
 def test_permutation_equivariance():
-    from whitewhale import comb
-
     rng = random.Random(11)
     for S in _sample_masks(rng, 60):
         perm = list(range(4))
@@ -85,6 +83,20 @@ def test_permutation_equivariance():
             lp.vertex_feasible(S, 4).feasible
             == lp.vertex_feasible(permuted, 4).feasible
         )
+
+
+def test_reduced_oracle_matches_full_rows_exhaustive_d4(brute_force_d4):
+    # shift-closed subsets get the binding rows plus the cone columns, the
+    # rest all rows; either way the verdict is the plain all-rows verdict of
+    # lp.feasibility(signed_rows(S, 4)), which the brute force holds
+    reduced = 0
+    for S in range(1 << 15):
+        r = lp.vertex_feasible(S, 4)
+        assert r.feasible == (S in brute_force_d4), S
+        if r.feasible:
+            assert lp.verify_certificate(r.certificate, S, 4)
+        reduced += comb.shift_closed(S, 4)
+    assert reduced == 400
 
 
 def test_brute_force_count_d3():
@@ -111,3 +123,9 @@ def test_feasibility_general_rows():
     )
     # origin is the midpoint of the rows: infeasible
     assert not lp.feasibility([(1, 2), (-1, -2)]).feasible
+    # c1 - c2 >= 1 is feasible, but not together with the cone column
+    # e2 - e1, which asks for c2 - c1 >= 0
+    assert lp.feasibility([(1, -1)]).feasible
+    assert not lp.feasibility([(1, -1)], cone=[(-1, 1)]).feasible
+    r = lp.feasibility([(1, 0), (0, 1)], cone=[(-1, 1)])
+    assert r.feasible and r.certificate[0] <= r.certificate[1]
