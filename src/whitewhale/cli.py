@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: generate, edges, degrees, verify, pad-layers, merge-shards.
+Subcommands: generate, edges, degrees, verify, merge-shards.
 Exit codes: 0 success, 1 failed verification, 2 configuration error,
 3 I/O error, 4 internal consistency failure.
 """
@@ -14,7 +14,7 @@ import os
 import sys
 import time
 
-from . import analytics, comb, core, engine, layerfile, lp, tables
+from . import analytics, core, engine, layerfile, lp, tables
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -84,13 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("pad-layers", help="reinterpret a layer file in a higher dimension")
-    p.add_argument("--from-d", type=int, required=True)
-    p.add_argument("--to-d", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--layers-dir", default="layers")
-    p.set_defaults(func=cmd_pad_layers)
-
     p = sub.add_parser("merge-shards", help="union sharded partial layer files")
     p.add_argument("-d", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
@@ -122,7 +115,12 @@ def _load_summary(layers_dir: str, d: int) -> dict:
     path = _summary_path(layers_dir)
     if os.path.exists(path):
         with open(path) as fh:
-            summary = json.load(fh)
+            try:
+                summary = json.load(fh)
+                if not isinstance(summary, dict):
+                    raise ValueError("not a JSON object")
+            except ValueError as exc:
+                raise layerfile.LayerFileError(f"corrupt summary file {path}: {exc}") from exc
         if summary.get("d") == d:
             return summary
     return {"d": d, "a": None, "e": None, "o": None, "layers": [], "wall_seconds": None}
@@ -324,31 +322,6 @@ def cmd_verify(args) -> int:
         check(f"W-family vertices d={d}", w_ok)
 
     return EXIT_OK if all(ok for _, ok in checks) else EXIT_VERIFY
-
-
-def cmd_pad_layers(args) -> int:
-    core.check_dimension(args.to_d)
-    if args.to_d < args.from_d:
-        raise ValueError("target dimension must not be smaller than the source")
-    # A padded point keeps to_d - from_d zero coordinates.  From k = from_d + 1
-    # on, to_d has vertices with fewer (for to_d = from_d + 1 the U-family
-    # point (1,...,1,to_d)), so the padded layer would be incomplete.
-    if args.k > args.from_d:
-        raise ValueError(f"padded layers are complete only for k <= {args.from_d}, got k={args.k}")
-    src = layerfile.read_layer(
-        layerfile.layer_path(args.layers_dir, args.from_d, args.k), args.from_d, args.k
-    )
-    entries = tuple(
-        comb.CanonicalVertex(
-            e.subset,
-            core.point_of(e.subset, args.to_d),
-            comb.orbit_size(core.point_of(e.subset, args.to_d), args.to_d),
-        )
-        for e in src.entries
-    )
-    padded = engine.LayerRecord(args.to_d, args.k, entries)
-    layerfile.write_layer(layerfile.layer_path(args.layers_dir, args.to_d, args.k), padded)
-    return EXIT_OK
 
 
 def cmd_merge_shards(args) -> int:

@@ -27,11 +27,6 @@ def generator_count(d: int) -> int:
     return (1 << d) - 1
 
 
-def all_ones_id(d: int) -> int:
-    """The id of the all-ones generator (1,...,1)."""
-    return (1 << d) - 1
-
-
 def full_mask(d: int) -> int:
     """Mask of the whole generator set."""
     return (1 << generator_count(d)) - 1
@@ -48,18 +43,6 @@ def vector_of(g: int, d: int) -> tuple[int, ...]:
     check_dimension(d)
     check_generator(g, d)
     return tuple((g >> (d - 1 - i)) & 1 for i in range(d))
-
-
-def id_of(vector) -> int:
-    """Inverse of vector_of: the integer id of a 0/1 coordinate vector."""
-    g = 0
-    for v in vector:
-        if v not in (0, 1):
-            raise ValueError(f"not a 0/1 vector: {tuple(vector)}")
-        g = (g << 1) | v
-    if g == 0:
-        raise ValueError("the zero vector is not a generator")
-    return g
 
 
 def generators_of(mask: int):
@@ -98,8 +81,3 @@ def point_increment(p, g: int, d: int) -> tuple[int, ...]:
 def antipode(mask: int, d: int) -> int:
     """The complementary subset G_d \\ S; its point mirrors through the center."""
     return full_mask(d) ^ mask
-
-
-def center_corner(d: int) -> tuple[int, ...]:
-    """p(G_d) = (2^{d-1}, ..., 2^{d-1}), the corner opposite the origin."""
-    return (1 << (d - 1),) * d

@@ -57,7 +57,7 @@ def write_layer(path: str, layer: LayerRecord) -> None:
     os.replace(tmp, path)
 
 
-def read_layer(path: str, expect_d: int | None = None, expect_k: int | None = None) -> LayerRecord:
+def read_layer(path: str, expect_d: int, expect_k: int) -> LayerRecord:
     try:
         with open(path) as fh:
             text = fh.read()
@@ -70,23 +70,35 @@ def read_layer(path: str, expect_d: int | None = None, expect_k: int | None = No
     d, k, n, digest = int(m.group(1)), int(m.group(2)), int(m.group(3)), m.group(4)
     if hashlib.sha256(body.encode()).hexdigest() != digest:
         raise LayerFileError(f"checksum mismatch in layer file {path}")
-    if expect_d is not None and d != expect_d:
+    if d != expect_d:
         raise LayerFileError(f"layer file {path} has d={d}, expected {expect_d}")
-    if expect_k is not None and k != expect_k:
+    if k != expect_k:
         raise LayerFileError(f"layer file {path} has k={k}, expected {expect_k}")
     entries = []
     lines = body.splitlines()
     if len(lines) != n:
         raise LayerFileError(f"layer file {path} announces {n} entries, holds {len(lines)}")
+    prev = ()
     for line in lines:
         left, _, right = line.partition("|")
-        ids = [int(x) for x in left.split()]
-        point = tuple(int(x) for x in right.split())
+        try:
+            ids = [int(x) for x in left.split()]
+            point = tuple(int(x) for x in right.split())
+            subset = core.mask_of(ids)
+        except ValueError:
+            raise LayerFileError(f"malformed entry in layer file {path}: {line!r}") from None
         if len(point) != d:
             raise LayerFileError(f"entry of wrong dimension in layer file {path}: {line!r}")
-        subset = core.mask_of(ids)
-        if len(ids) != k or core.point_of(subset, d) != point:
+        if (
+            subset.bit_count() != k
+            or subset >> core.generator_count(d)
+            or core.point_of(subset, d) != point
+        ):
             raise LayerFileError(f"inconsistent entry in layer file {path}: {line!r}")
+        # canonical points are nondecreasing, and render writes them sorted and distinct
+        if tuple(sorted(point)) != point or point <= prev:
+            raise LayerFileError(f"non-canonical entry in layer file {path}: {line!r}")
+        prev = point
         entries.append(comb.CanonicalVertex(subset, point, comb.orbit_size(point, d)))
     return LayerRecord(d, k, tuple(entries))
 

@@ -39,24 +39,23 @@ class FeasibilityResult:
     certificate: tuple[Fraction, ...] | None = None
 
 
-def feasibility(rows, cone=()) -> FeasibilityResult:
-    """Decide whether some c satisfies c.a >= 1 for every integer row a and
-    c.b >= 0 for every integer cone column b.
+def feasibility(rows) -> FeasibilityResult:
+    """Decide whether some c satisfies c.a >= 1 for every integer row a.
 
-    Exact; returns a rational certificate, verified on every row and cone
-    column, when feasible.
+    Exact; returns a rational certificate, verified on every row, when
+    feasible.
     """
     rows = [tuple(r) for r in rows]
     if not rows:
         raise ValueError("empty constraint system")
     d = len(rows[0])
-    if any(len(r) != d for r in rows) or any(len(b) != d for b in cone):
+    if any(len(r) != d for r in rows):
         raise ValueError("rows of mixed dimension")
-    cert = _phase_one(rows, d, cone)
+    cert = _phase_one(rows, d)
     if cert is None:
         return FeasibilityResult(False, None)
     nums, den = cert
-    if any(_dot(nums, r) < den for r in rows) or any(_dot(nums, b) < 0 for b in cone):
+    if any(_dot(nums, r) < den for r in rows):
         raise AssertionError("internal error: certificate failed exact re-verification")
     return FeasibilityResult(True, tuple(Fraction(n, den) for n in nums))
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import os
 import re
@@ -36,26 +37,55 @@ def test_layer_file_checksum_rejected(tmp_path, generated):
     text = path.read_text()
     path.write_text(text.replace("1 3 |", "1 5 |"))
     with pytest.raises(layerfile.LayerFileError, match="checksum"):
-        layerfile.read_layer(str(path))
+        layerfile.read_layer(str(path), 3, 2)
 
 
 def test_layer_file_errors(tmp_path):
     with pytest.raises(layerfile.LayerFileError, match="cannot read"):
-        layerfile.read_layer(str(tmp_path / "missing.www"))
+        layerfile.read_layer(str(tmp_path / "missing.www"), 3, 1)
     bad = tmp_path / "bad.www"
     bad.write_text("not a header\n")
     with pytest.raises(layerfile.LayerFileError, match="bad header"):
-        layerfile.read_layer(str(bad))
+        layerfile.read_layer(str(bad), 3, 1)
 
 
 def test_layer_file_header_mismatch(tmp_path, generated):
     layers, _ = generated(3)
     path = tmp_path / "layer.www"
     layerfile.write_layer(str(path), layers[2])
-    with pytest.raises(layerfile.LayerFileError):
-        layerfile.read_layer(str(path), expect_d=4)
-    with pytest.raises(layerfile.LayerFileError):
-        layerfile.read_layer(str(path), expect_k=1)
+    with pytest.raises(layerfile.LayerFileError, match="d=3, expected 4"):
+        layerfile.read_layer(str(path), 4, 2)
+    with pytest.raises(layerfile.LayerFileError, match="k=2, expected 1"):
+        layerfile.read_layer(str(path), 3, 1)
+
+
+def _forge(path, d, k, lines):
+    """Write a layer file with the given body lines and a valid header."""
+    body = "".join(line + "\n" for line in lines)
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    path.write_text(f"{layerfile.MAGIC} d={d} k={k} n={len(lines)} sha256={digest}\n{body}")
+
+
+def test_layer_file_rejects_forged_entries(tmp_path):
+    # every body below gets a valid checksum
+    forged = [
+        (["1 5 | 0 1 0 2"], "non-canonical"),      # a permuted point
+        (["1 3 | 0 0 1 2"] * 2, "non-canonical"),  # a duplicated line
+        (["1 1 | 0 0 0 1"], "inconsistent"),       # a repeated id
+        (["3 17 | 0 0 1 2"], "inconsistent"),      # an id past 2^4 - 1
+        (["0 3 | 0 0 1 1"], "malformed"),          # id 0
+        (["a 3 | 0 0 1 2"], "malformed"),          # not a number
+    ]
+    layers_dir = full_run(tmp_path, 4)
+    path = layers_dir / "layer_d4_k2.www"
+    summary = (layers_dir / "summary.json").read_bytes()
+    argv = ["generate", "-d", 4, "--layers-dir", layers_dir, "--resume-from", 2, "--quiet"]
+    for lines, message in forged:
+        _forge(path, 4, 2, lines)
+        with pytest.raises(layerfile.LayerFileError, match=message):
+            layerfile.read_layer(str(path), 4, 2)
+        assert run_cli(*argv) == cli.EXIT_IO
+        assert (layers_dir / "summary.json").read_bytes() == summary
 
 
 def test_merge_partials_rejects_mixed(generated):
@@ -77,7 +107,7 @@ def test_generate_writes_layers_and_summary(tmp_path):
     assert [l["canonical"] for l in summary["layers"]] == [1, 1, 1, 2]
     # summary arithmetic must match a recount from the files themselves
     read = [
-        layerfile.read_layer(str(layers_dir / f"layer_d3_k{k}.www")) for k in range(4)
+        layerfile.read_layer(str(layers_dir / f"layer_d3_k{k}.www"), 3, k) for k in range(4)
     ]
     assert sum(l.orbit_sum for l in read) == summary["a"]
     assert sum(len(l.entries) for l in read) == summary["o"]
@@ -192,13 +222,17 @@ def test_shard_at_or_past_max_layer_is_config_error(tmp_path):
     assert not list(layers_dir.glob("*.part*"))
 
 
-def _options(command):
+def _subcommands():
     parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {s for a in sub.choices[command]._actions for s in a.option_strings}
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _options(command):
+    return {s for a in _subcommands()[command]._actions for s in a.option_strings}
 
 
 def test_option_surface():
+    assert set(_subcommands()) == {"generate", "edges", "degrees", "verify", "merge-shards"}
     common = {"-h", "--help", "-d", "--layers-dir"}
     assert _options("generate") == common | {
         "--max-layer", "--threads", "--shard", "--resume-from", "--store-certificates",
@@ -206,6 +240,8 @@ def test_option_surface():
     }
     assert _options("edges") == common
     assert _options("degrees") == common
+    assert _options("verify") == common | {"--mode"}
+    assert _options("merge-shards") == common | {"-k", "--total"}
 
 
 def test_unknown_option_fails_at_parsing(tmp_path):
@@ -223,6 +259,17 @@ def test_summary_write_is_atomic(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.json, "dump", torn_dump)
     assert run_cli("edges", "-d", 3, "--layers-dir", layers_dir) == cli.EXIT_IO
     assert (layers_dir / "summary.json").read_bytes() == before
+
+
+def test_corrupt_summary_is_io_error(tmp_path, capsys):
+    layers_dir = full_run(tmp_path, 3)
+    path = layers_dir / "summary.json"
+    path.write_text("{ not json")
+    capsys.readouterr()
+    for argv in (("edges", "-d", 3), ("generate", "-d", 3, "--quiet")):
+        assert run_cli(*argv, "--layers-dir", layers_dir) == cli.EXIT_IO
+        assert str(path) in capsys.readouterr().err
+    assert path.read_text() == "{ not json"
 
 
 def test_store_certificates_cli(tmp_path):
@@ -300,69 +347,3 @@ def test_verify_reads_the_layer_files(tmp_path, capsys):
 
 def test_verify_cli_bruteforce_needs_small_d(tmp_path):
     assert run_cli("verify", "-d", 5, "--mode", "bruteforce") == cli.EXIT_CONFIG
-
-
-def test_pad_layers_cli(tmp_path, generated):
-    # a padded layer k <= from_d must equal the fresh layer one dimension up
-    for from_d in (3, 4):
-        layers_dir = full_run(tmp_path / str(from_d), from_d)
-        fresh, _ = generated(from_d + 1)
-        for k in range(from_d + 1):
-            assert (
-                run_cli(
-                    "pad-layers", "--from-d", from_d, "--to-d", from_d + 1, "-k", k,
-                    "--layers-dir", layers_dir,
-                )
-                == 0
-            )
-            padded = (layers_dir / f"layer_d{from_d + 1}_k{k}.www").read_text()
-            assert padded == layerfile.render(fresh[k])
-    padded = layerfile.read_layer(str(tmp_path / "3" / "layers" / "layer_d4_k2.www"), 4, 2)
-    assert [e.point for e in padded.entries] == [(0, 0, 1, 2)]
-
-
-def test_pad_layers_resume_equals_fresh_run(tmp_path, generated):
-    layers_dir = tmp_path / "layers"
-    os.makedirs(layers_dir)
-    layers3, _ = generated(3)
-    layerfile.write_layer(str(layers_dir / "layer_d3_k2.www"), layers3[2])
-    assert (
-        run_cli(
-            "pad-layers", "--from-d", 3, "--to-d", 4, "-k", 2, "--layers-dir", layers_dir
-        )
-        == 0
-    )
-    assert (
-        run_cli(
-            "generate", "-d", 4, "--layers-dir", layers_dir, "--resume-from", 2, "--quiet"
-        )
-        == 0
-    )
-    layers4, _ = generated(4)
-    for k in range(3, 8):
-        got = (layers_dir / f"layer_d4_k{k}.www").read_text()
-        assert got == layerfile.render(layers4[k])
-
-
-def test_pad_layers_rejects_shrinking(tmp_path):
-    layers_dir = full_run(tmp_path, 4)
-    assert (
-        run_cli(
-            "pad-layers", "--from-d", 4, "--to-d", 3, "-k", 2, "--layers-dir", layers_dir
-        )
-        == cli.EXIT_CONFIG
-    )
-
-
-def test_pad_layers_rejects_incomplete_layers(tmp_path):
-    for from_d in (3, 4):
-        layers_dir = full_run(tmp_path / str(from_d), from_d)
-        k = from_d + 1
-        assert (
-            run_cli(
-                "pad-layers", "--from-d", from_d, "--to-d", from_d + 1, "-k", k,
-                "--layers-dir", layers_dir,
-            )
-            == cli.EXIT_CONFIG
-        )
-        assert not (layers_dir / f"layer_d{from_d + 1}_k{k}.www").exists()

@@ -15,7 +15,7 @@ def test_submask_table_invariant():
 
 
 def test_may_extend_all_ones_rule():
-    ones = core.all_ones_id(3)
+    ones = 7
     # below the halfway layer (1,1,1) is never added
     assert not comb.may_extend(core.mask_of([1, 3]), ones, 3)
     # at the halfway layer a vertex without (1,1,1) can only gain it
@@ -97,8 +97,8 @@ def test_may_extend_soundness_exhaustive(brute_force_d4):
 
 
 def test_filter_sorted_extension_examples():
-    assert comb.filter_sorted_extension((0, 0, 1), core.id_of((0, 1, 1)), 3)
-    assert not comb.filter_sorted_extension((0, 0, 1), core.id_of((1, 0, 1)), 3)
+    assert comb.filter_sorted_extension((0, 0, 1), 3, 3)  # g = (0,1,1)
+    assert not comb.filter_sorted_extension((0, 0, 1), 5, 3)  # g = (1,0,1)
     for g in range(1, 8):
         assert comb.filter_sorted_extension((0, 1, 2), g, 3)
 
