@@ -76,7 +76,7 @@ def _layer_points(layers) -> tuple[int, list[set[tuple[int, ...]]]]:
     if not layers:
         raise ValueError("no layers")
     d = layers[0].d
-    top = (1 << (d - 1)) - 1
+    top = core.halfway_layer(d)
     got = [(layer.d, layer.k) for layer in layers]
     if got != [(d, k) for k in range(top + 1)]:
         raise ValueError(f"need complete layers 0..{top} of d={d} in order, got {got}")

@@ -31,10 +31,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
         return args.func(args)
-    except layerfile.LayerFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (layerfile.LayerFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -136,10 +133,9 @@ def _write_summary(layers_dir: str, summary: dict) -> None:
 
 
 def _read_all_layers(layers_dir: str, d: int) -> list[engine.LayerRecord]:
-    top = (1 << (d - 1)) - 1
     return [
         layerfile.read_layer(layerfile.layer_path(layers_dir, d, k), d, k)
-        for k in range(top + 1)
+        for k in range(core.halfway_layer(d) + 1)
     ]
 
 
@@ -183,24 +179,19 @@ def cmd_generate(args) -> int:
         if args.store_certificates and layer.k > 0:
             _write_certificates(args.layers_dir, layer)
 
-    top = (1 << (d - 1)) - 1
-    if cfg.max_layer == top:
-        try:
-            layers = _read_all_layers(args.layers_dir, d)
-        except layerfile.LayerFileError:
-            layers = None
-        if layers is not None:
-            summary = _load_summary(args.layers_dir, d)
-            summary.update(
-                a=sum(l.orbit_sum for l in layers),
-                o=sum(len(l.entries) for l in layers),
-                layers=[
-                    {"k": l.k, "canonical": len(l.entries), "orbit_sum": l.orbit_sum}
-                    for l in layers
-                ],
-                wall_seconds=round(time.monotonic() - t0, 3),
-            )
-            _write_summary(args.layers_dir, summary)
+    if cfg.max_layer == core.halfway_layer(d):
+        layers = _read_all_layers(args.layers_dir, d)
+        summary = _load_summary(args.layers_dir, d)
+        summary.update(
+            a=sum(l.orbit_sum for l in layers),
+            o=sum(len(l.entries) for l in layers),
+            layers=[
+                {"k": l.k, "canonical": len(l.entries), "orbit_sum": l.orbit_sum}
+                for l in layers
+            ],
+            wall_seconds=round(time.monotonic() - t0, 3),
+        )
+        _write_summary(args.layers_dir, summary)
     return EXIT_OK
 
 

@@ -53,9 +53,6 @@ def may_extend(S: int, g: int, d: int) -> bool:
 
     With c the certificate of S + {g} (c.h >= 1 on members, <= -1 outside):
 
-    * all-ones: a vertex subset contains (1,...,1) iff it has at least
-      2^{d-1} members, so below that size g = (1,...,1) is out, and from
-      that size on a vertex S without (1,...,1) can only gain it;
     * pair-sum closure: every member a of S with support disjoint from g
       has a + g in S, since c.(a+g) = c.a + c.g >= 2 rules out a + g
       outside.  Disjoint supports make a | g = a + g as integers, so the
@@ -66,13 +63,14 @@ def may_extend(S: int, g: int, d: int) -> bool:
       vertex S holding both would hold g), so
       |S & submasks(g)| = 2^{sigma(g)-1} - 1.  This subsumes the support
       bound 2^{sigma(g)-1} - 1 <= |S|.
+
+    Together these decide the all-ones rule (a vertex holds (1,...,1) iff it
+    has at least 2^{d-1} members): at g = (1,...,1) the submask count asks
+    |S| = 2^{d-1} - 1, and a vertex S of that size without (1,...,1) holds
+    one of each pair {h, (1,...,1) - h}, so it holds (1,...,1) - g for any
+    other g, and pair-sum closure then asks for (1,...,1) in S.
     """
     ones = (1 << d) - 1
-    if S.bit_count() + 1 < 1 << (d - 1):
-        if g == ones:
-            return False
-    elif g != ones and not (S >> (ones - 1)) & 1:
-        return False
     table = submask_table(d)
     if ((S & table[ones ^ g]) << g) & ~S:
         return False
@@ -129,7 +127,8 @@ def filter_sorted_extension(p, g: int, d: int) -> bool:
 
     For a canonical p, a g decreasing inside a tied block has a sorted
     sibling producing the same canonical child, so rejecting it loses
-    nothing.
+    nothing.  For a nondecreasing p it holds exactly when p + g is
+    nondecreasing, so every extension it keeps is canonical.
     """
     for i in range(d - 1):
         if p[i] == p[i + 1]:

@@ -27,6 +27,11 @@ def generator_count(d: int) -> int:
     return (1 << d) - 1
 
 
+def halfway_layer(d: int) -> int:
+    """The top layer generated, 2^{d-1} - 1; central symmetry gives the rest."""
+    return (1 << (d - 1)) - 1
+
+
 def full_mask(d: int) -> int:
     """Mask of the whole generator set."""
     return (1 << generator_count(d)) - 1

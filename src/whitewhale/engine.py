@@ -12,12 +12,13 @@ Three levels of machinery:
 * ``generate`` / ``expand_layer`` are the White Whale specialization:
   subsets are bitmasks over the integer-encoded generators, and
   ``comb.may_extend`` then ``comb.filter_sorted_extension`` run on each
-  candidate, and ``comb.shift_closed`` on each canonical child, before
-  its feasibility call.
+  candidate, and ``comb.shift_closed`` on each child, before its
+  feasibility call.  Children are canonical by construction, so none is
+  relabelled.
 
 Only two consecutive layers are ever held in memory.  A layer step walks
 the parents in the run's own process and keeps one candidate child per
-sorted point; only the oracle calls go to the worker pool, in point order,
+point; only the oracle calls go to the worker pool, in point order,
 so the output and every count in the progress lines are identical for any
 worker count.  Shards take ``entries[i::n]`` and ``merge_partials`` joins
 their layers.
@@ -58,7 +59,7 @@ class RunConfig:
 
     def __post_init__(self):
         core.check_dimension(self.d)
-        top = (1 << (self.d - 1)) - 1
+        top = core.halfway_layer(self.d)
         if self.max_layer is None:
             self.max_layer = top
         if not 0 <= self.max_layer <= top:
@@ -81,15 +82,17 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
 
     Candidates: each parent of the shard (all of them unless cfg.shard is
     set) extended by each g outside it that passes ``comb.may_extend`` and
-    then ``comb.filter_sorted_extension``; the first child per sorted point
-    is kept and canonicalized, and dropped unless ``comb.shift_closed``.
-    Oracle: one ``lp.vertex_feasible`` call per remaining canonical child,
-    in point order, inline or over the executor's workers.  Output: the
-    feasible children with their certificates, already sorted by point.
+    then ``comb.filter_sorted_extension``; the first child per point is
+    kept, and dropped unless ``comb.shift_closed``.  A parent point p is
+    nondecreasing and the filter holds exactly when p + g is, so each child
+    is already canonical.  Oracle: one ``lp.vertex_feasible`` call per
+    remaining child, in point order, inline or over the executor's workers.
+    Output: the feasible children with their certificates and orbit sizes,
+    already sorted by point.
 
     One oracle call per point is sound: a vertex point has a single
-    generator decomposition, so any subset whose point is a permutation of
-    it is a vertex, and the canonical child is a vertex iff the first one is.
+    generator decomposition, so the first child with that point is a vertex
+    iff any subset with that point is.
     """
     if layer.k >= cfg.max_layer:
         raise ValueError(f"cannot expand layer {layer.k}: the max layer is {cfg.max_layer}")
@@ -100,25 +103,23 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
         parents = parents[i::n]
     t0 = time.monotonic()
     full = core.full_mask(d)
-    children: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+    children: dict[tuple[int, ...], int] = {}
     candidates = 0
     for e in parents:
         for g in core.generators_of(full & ~e.subset):
             if comb.may_extend(e.subset, g, d) and comb.filter_sorted_extension(e.point, g, d):
                 candidates += 1
-                point = core.point_increment(e.point, g, d)
-                children.setdefault(tuple(sorted(point)), (e.subset | (1 << (g - 1)), point))
-    canon = [comb.canonicalize(S, p, d) for S, p in (children[q] for q in sorted(children))]
-    canon = [cv for cv in canon if comb.shift_closed(cv.subset, d)]
-    masks = [cv.subset for cv in canon]
+                children.setdefault(core.point_increment(e.point, g, d), e.subset | (1 << (g - 1)))
+    points = [p for p in sorted(children) if comb.shift_closed(children[p], d)]
+    masks = [children[p] for p in points]
     if executor is None:
         results = [lp.vertex_feasible(S, d) for S in masks]
     else:
         chunk = max(1, math.ceil(len(masks) / _pool_size(cfg)))
         results = list(executor.map(lp.vertex_feasible, masks, [d] * len(masks), chunksize=chunk))
     entries = tuple(
-        comb.CanonicalVertex(cv.subset, cv.point, cv.orbit_size, r.certificate)
-        for cv, r in zip(canon, results)
+        comb.CanonicalVertex(S, p, comb.orbit_size(p, d), r.certificate)
+        for p, S, r in zip(points, masks, results)
         if r.feasible
     )
     nxt = LayerRecord(d, layer.k + 1, entries)

@@ -158,6 +158,27 @@ def test_generate_resume_missing_file_is_io_error(tmp_path):
     )
 
 
+def test_generate_bad_lower_layer_keeps_summary(tmp_path, capsys):
+    # the summary re-reads every layer; a missing or corrupt one must fail
+    # the run instead of leaving the previous summary in place
+    layers_dir = full_run(tmp_path, 4)
+    assert run_cli("edges", "-d", 4, "--layers-dir", layers_dir) == 0
+    summary = (layers_dir / "summary.json").read_bytes()
+    k1, k2 = layers_dir / "layer_d4_k1.www", layers_dir / "layer_d4_k2.www"
+    k1_bytes = k1.read_bytes()
+    argv = ("generate", "-d", 4, "--layers-dir", layers_dir, "--resume-from", 4, "--quiet")
+    os.remove(k1)
+    capsys.readouterr()
+    assert run_cli(*argv) == cli.EXIT_IO
+    assert k1.name in capsys.readouterr().err
+    assert (layers_dir / "summary.json").read_bytes() == summary
+    k1.write_bytes(k1_bytes)
+    k2.write_text(k2.read_text().replace("1 3 |", "1 5 |"))
+    assert run_cli(*argv) == cli.EXIT_IO
+    assert "checksum" in capsys.readouterr().err
+    assert (layers_dir / "summary.json").read_bytes() == summary
+
+
 def test_generate_rejects_bad_dimension(tmp_path):
     assert run_cli("generate", "-d", 1, "--layers-dir", tmp_path, "--quiet") == cli.EXIT_CONFIG
 

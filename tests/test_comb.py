@@ -103,6 +103,18 @@ def test_filter_sorted_extension_examples():
         assert comb.filter_sorted_extension((0, 1, 2), g, 3)
 
 
+def test_filter_sorted_extension_keeps_exactly_sorted_children(generated):
+    # engine.expand_layer relies on this to take every child as canonical
+    for d in (2, 3, 4, 5):
+        layers, _ = generated(d)
+        for layer in layers:
+            for e in layer.entries:
+                for g in range(1, 1 << d):
+                    child = core.point_increment(e.point, g, d)
+                    want = all(a <= b for a, b in zip(child, child[1:]))
+                    assert comb.filter_sorted_extension(e.point, g, d) == want, (e.point, g)
+
+
 def test_orbit_size_examples():
     assert comb.orbit_size((0, 1, 2), 3) == 12
     assert comb.orbit_size((1, 1, 4, 4), 4) == 12
