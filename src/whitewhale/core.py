@@ -12,6 +12,9 @@ bit j - 1 is set iff generator j belongs to S.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import add
+
 MIN_DIMENSION = 2
 MAX_DIMENSION = 16
 
@@ -66,21 +69,24 @@ def mask_of(ids) -> int:
     return mask
 
 
+@lru_cache(maxsize=None)
+def generator_vectors(d: int) -> tuple[tuple[int, ...], ...]:
+    """vectors[g] = vector_of(g, d) for every generator id g; vectors[0] is the origin.
+
+    Built once per dimension; read-only afterwards.
+    """
+    return ((0,) * d,) + tuple(vector_of(g, d) for g in range(1, 1 << d))
+
+
 def point_of(mask: int, d: int) -> tuple[int, ...]:
     """Coordinatewise sum of the generators in the mask; the origin for the empty mask."""
-    coords = [0] * d
-    while mask:
-        low = mask & -mask
-        g = low.bit_length()
-        for i in range(d):
-            coords[i] += (g >> (d - 1 - i)) & 1
-        mask ^= low
-    return tuple(coords)
+    vectors = generator_vectors(d)
+    return tuple(map(sum, zip(vectors[0], *[vectors[g] for g in generators_of(mask)])))
 
 
 def point_increment(p, g: int, d: int) -> tuple[int, ...]:
     """The point of S + {g} given the point of S, for g not in S."""
-    return tuple(p[i] + ((g >> (d - 1 - i)) & 1) for i in range(d))
+    return tuple(map(add, p, generator_vectors(d)[g]))
 
 
 def antipode(mask: int, d: int) -> int:

@@ -86,7 +86,10 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
     kept, and dropped unless ``comb.shift_closed``.  A parent point p is
     nondecreasing and the filter holds exactly when p + g is, so each child
     is already canonical.  Oracle: one ``lp.vertex_feasible`` call per
-    remaining child, in point order, inline or over the executor's workers.
+    remaining child, in point order, inline or over the executor's workers,
+    with the certificates of every parent that produced its point (in
+    parent order) to push from; parents read from a layer file have none,
+    so their children go straight to the simplex.
     Output: the feasible children with their certificates and orbit sizes,
     already sorted by point.
 
@@ -103,20 +106,29 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
         parents = parents[i::n]
     t0 = time.monotonic()
     full = core.full_mask(d)
-    children: dict[tuple[int, ...], int] = {}
+    # point -> (first child mask, (certificate, g) of every parent producing that point)
+    children: dict[tuple[int, ...], tuple[int, list]] = {}
     candidates = 0
     for e in parents:
         for g in core.generators_of(full & ~e.subset):
             if comb.may_extend(e.subset, g, d) and comb.filter_sorted_extension(e.point, g, d):
                 candidates += 1
-                children.setdefault(core.point_increment(e.point, g, d), e.subset | (1 << (g - 1)))
-    points = [p for p in sorted(children) if comb.shift_closed(children[p], d)]
-    masks = [children[p] for p in points]
+                p = core.point_increment(e.point, g, d)
+                child = children.get(p)
+                if child is None:
+                    child = children[p] = (e.subset | (1 << (g - 1)), [])
+                if e.certificate is not None:
+                    child[1].append((e.certificate, g))
+    points = [p for p in sorted(children) if comb.shift_closed(children[p][0], d)]
+    masks = [children[p][0] for p in points]
+    certs = [children[p][1] for p in points]
     if executor is None:
-        results = [lp.vertex_feasible(S, d) for S in masks]
+        results = [lp.vertex_feasible(S, d, c) for S, c in zip(masks, certs)]
     else:
         chunk = max(1, math.ceil(len(masks) / _pool_size(cfg)))
-        results = list(executor.map(lp.vertex_feasible, masks, [d] * len(masks), chunksize=chunk))
+        results = list(
+            executor.map(lp.vertex_feasible, masks, [d] * len(masks), certs, chunksize=chunk)
+        )
     entries = tuple(
         comb.CanonicalVertex(S, p, comb.orbit_size(p, d), r.certificate)
         for p, S, r in zip(points, masks, results)
@@ -126,7 +138,8 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
     if cfg.progress:
         print(
             f"layer {nxt.k}: {len(nxt.entries)} entries, {candidates} candidates, "
-            f"{len(masks)} LP calls, {time.monotonic() - t0:.1f} seconds",
+            f"{len(masks)} LP calls, {sum(r.by_simplex for r in results)} by simplex, "
+            f"{time.monotonic() - t0:.1f} seconds",
             file=sys.stderr,
         )
     return nxt
@@ -191,7 +204,7 @@ def run(cfg: RunConfig) -> list[LayerRecord]:
 
 def white_whale_vectors(d: int) -> list[tuple[int, ...]]:
     """The full generator list of the d-dimensional White Whale, ordered by id."""
-    return [core.vector_of(g, d) for g in range(1, (1 << d))]
+    return list(core.generator_vectors(d)[1:])
 
 
 def generate_generic(G, use_symmetry: bool):

@@ -19,6 +19,14 @@ returned.  Cone columns b (with 0 in the convexity row) may be added to
 the balance equations; they ask in addition for c.b >= 0.
 ``vertex_feasible`` uses them to look only for nondecreasing c on
 canonical subsets, which needs far fewer rows.
+
+Before the simplex, ``vertex_feasible`` tries a push: given the
+certificate c_P of a parent vertex P and the generator g with
+S = P + {g}, it searches the line c_P + tau * g for a certificate of S,
+which takes one subset-sum pass over the generators.  A pushed c is
+accepted only after the same exact all-rows check as a simplex
+certificate, so a push can only confirm a vertex; every other subset,
+and every child whose pushes fail, goes to the simplex.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from . import comb, core
 
@@ -37,6 +46,7 @@ _MAX_PIVOTS = 100_000
 class FeasibilityResult:
     feasible: bool
     certificate: tuple[Fraction, ...] | None = None
+    by_simplex: bool = True  # False when a pushed parent certificate answered
 
 
 def feasibility(rows) -> FeasibilityResult:
@@ -60,18 +70,28 @@ def feasibility(rows) -> FeasibilityResult:
     return FeasibilityResult(True, tuple(Fraction(n, den) for n in nums))
 
 
-def vertex_feasible(S: int, d: int) -> FeasibilityResult:
+def vertex_feasible(S: int, d: int, parents=()) -> FeasibilityResult:
     """Vertex test for a subset mask over the full White Whale generator set.
 
-    A shift-closed S (see ``comb.shift_closed``) has a nondecreasing point,
-    and if it is a vertex then some certificate is nondecreasing.  So the
-    oracle adds the d - 1 cone columns e_{i+1} - e_i, which force c to be
-    nondecreasing, and keeps only the rows that can bind for such c: the
-    shift-minimal members and the shift-maximal non-members (every other
-    row is implied).  Any other S gets all 2^d - 1 rows.  The certificate
-    is re-verified on all 2^d - 1 rows in exact integer arithmetic.
+    ``parents`` holds (certificate, g) pairs of vertices P with
+    P + {g} = S, tried in order by ``_push``.  Any c it returns has passed
+    the all-rows check, so it proves S a vertex: a push never decides a
+    non-vertex, it only spares the simplex on a vertex.
+
+    The simplex runs when no push succeeds.  A shift-closed S (see
+    ``comb.shift_closed``) has a nondecreasing point, and if it is a vertex
+    then some certificate is nondecreasing.  So the oracle adds the d - 1
+    cone columns e_{i+1} - e_i, which force c to be nondecreasing, and
+    keeps only the rows that can bind for such c: the shift-minimal members
+    and the shift-maximal non-members (every other row is implied).  Any
+    other S gets all 2^d - 1 rows.  The certificate is re-verified on all
+    2^d - 1 rows in exact integer arithmetic.
     """
     core.check_dimension(d)
+    for c, g in parents:
+        pushed = _push(_integer_form(c)[0], g, S, d)
+        if pushed is not None:
+            return FeasibilityResult(True, tuple(map(Fraction, pushed)), by_simplex=False)
     if comb.shift_closed(S, d):
         cert = _phase_one(_binding_rows(S, d), d, _cone_columns(d))
     else:
@@ -100,11 +120,7 @@ def vertex_feasible_vectors(mask: int, vectors) -> FeasibilityResult:
 @lru_cache(maxsize=None)
 def _generator_rows(d: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """(+g, -g) as coordinate tuples for every generator id g; entry 0 unused."""
-    out = [((), ())]
-    for g in range(1, 1 << d):
-        v = tuple((g >> (d - 1 - i)) & 1 for i in range(d))
-        out.append((v, tuple(-x for x in v)))
-    return tuple(out)
+    return tuple((v, tuple(-x for x in v)) for v in core.generator_vectors(d))
 
 
 @lru_cache(maxsize=None)
@@ -144,24 +160,81 @@ def verify_certificate(c, S: int, d: int) -> bool:
     c = [Fraction(x) for x in c]
     if len(c) != d:
         raise ValueError(f"certificate has {len(c)} coordinates, expected {d}")
+    return _separates(*_integer_form(c), S, d)
+
+
+def _integer_form(c) -> tuple[list[int], int]:
+    """(nums, den) with c = nums / den and den > 0, for Fraction or int coordinates c."""
     den = math.lcm(*(x.denominator for x in c))
-    return _separates([x.numerator * (den // x.denominator) for x in c], den, S, d)
+    return [x.numerator * (den // x.denominator) for x in c], den
+
+
+def _subset_sums(nums) -> list[int]:
+    """dot[g] = nums . (vector of g) for every generator id g (dot[0] = 0).
+
+    The last coordinate is the lowest bit, so each coordinate, taken from
+    the last, doubles the table: ids with its bit set add it to the id
+    without."""
+    dot = [0]
+    for x in reversed(nums):
+        dot += [y + x for y in dot]
+    return dot
 
 
 def _separates(nums, den, S: int, d: int) -> bool:
     """c = nums / den (den > 0) has c.g >= 1 on S and c.g <= -1 outside S,
-    over all 2^d - 1 generators, by one subset-sum pass in integers:
-    dot[g] = dot[g minus its lowest bit] + nums[coordinate of that bit]."""
-    dot = [0] * (1 << d)
+    over all 2^d - 1 generators, in integers."""
+    dot = _subset_sums(nums)
     for g in range(1, 1 << d):
-        low = g & -g
-        v = dot[g] = dot[g ^ low] + nums[d - low.bit_length()]
         if (S >> (g - 1)) & 1:
-            if v < den:
+            if dot[g] < den:
                 return False
-        elif v > -den:
+        elif dot[g] > -den:
             return False
     return True
+
+
+def _push(nums, g: int, S: int, d: int) -> list[int] | None:
+    """An integer certificate of S on the line c_P + tau * g, or None.
+
+    c_P, a positive multiple of nums, certifies a vertex P and
+    S = P + {g}.  Row h asks for c_P.h + tau * g.h > 0 if h is in S and
+    < 0 if not, and g.h >= 0, so the rows with g.h > 0 bound tau from
+    below (members) or above (non-members); rows with g.h = 0 do not move
+    with tau.  The midpoint of the interval, if it is non-empty and bounded
+    above, is scaled so the smallest margin is 1, then rounded at the first
+    scale s = 1, 2, ... that passes the all-rows check ``_separates``.
+    Rounding moves a margin by at most d / 2, so s = d // 2 + 1 passes
+    whenever the midpoint separates S.
+    """
+    dot = _subset_sums(nums)
+    # tau in (lo_n / lo_d, hi_n / hi_d) in units of nums, denominators
+    # positive; g in S bounds it from below, and hi_d = 0 means no upper bound
+    lo_n, lo_d, hi_n, hi_d = -1, 0, 1, 0
+    for h, b in _meeting(g, d):
+        a = -dot[h]
+        if (S >> (h - 1)) & 1:
+            if a * lo_d > lo_n * b:
+                lo_n, lo_d = a, b
+        elif a * hi_d < hi_n * b:
+            hi_n, hi_d = a, b
+    if not hi_d or lo_n * hi_d >= hi_n * lo_d:
+        return None
+    # tau = p / q at the midpoint; c is proportional to q * nums + p * g
+    p, q = lo_n * hi_d + hi_n * lo_d, 2 * lo_d * hi_d
+    x = [q * n + p * v for n, v in zip(nums, core.generator_vectors(d)[g])]
+    m = min(map(abs, islice(_subset_sums(x), 1, None)))
+    for s in range(1, d // 2 + 2):
+        c = [(2 * s * v + m) // (2 * m) for v in x]
+        if _separates(c, 1, S, d):
+            return c
+    return None
+
+
+@lru_cache(maxsize=None)
+def _meeting(g: int, d: int) -> tuple[tuple[int, int], ...]:
+    """(h, g.h) for every generator id h with g.h > 0, in id order."""
+    return tuple((h, (g & h).bit_count()) for h in range(1, 1 << d) if g & h)
 
 
 def _dot(nums, r) -> int:

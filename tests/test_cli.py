@@ -122,14 +122,18 @@ def test_generate_is_deterministic(tmp_path):
 
 
 def test_generate_progress_counts_d5(tmp_path, capsys):
-    # candidates after the vertex rules of comb.may_extend, and LP calls
-    # after comb.shift_closed, which rejects all 5 non-vertex calls
+    # candidates after the vertex rules of comb.may_extend, LP calls after
+    # comb.shift_closed, which rejects all 5 non-vertex calls, and the LP
+    # calls that no pushed parent certificate answered
     argv = ["generate", "-d", 5, "--threads", 1, "--layers-dir", tmp_path / "layers"]
     assert run_cli(*argv) == 0
-    rows = re.findall(r"(\d+) candidates, (\d+) LP calls", capsys.readouterr().err)
+    rows = re.findall(
+        r"(\d+) candidates, (\d+) LP calls, (\d+) by simplex", capsys.readouterr().err
+    )
     assert len(rows) == 15
-    assert sum(int(c) for c, _ in rows) == 203
-    assert sum(int(n) for _, n in rows) == 111
+    assert sum(int(c) for c, _, _ in rows) == 203
+    assert sum(int(n) for _, n, _ in rows) == 111
+    assert sum(int(s) for _, _, s in rows) == 13
 
 
 def test_generate_resume(tmp_path):

@@ -179,14 +179,30 @@ def test_fresh_run_uses_one_capped_pool(monkeypatch, generated, inline_pools):
 
 
 def test_progress_counts_do_not_depend_on_worker_count(capsys, inline_pools):
-    # one oracle call per sorted point, whatever the pool size
+    # one oracle call per sorted point, and the same parent certificates to
+    # push from, whatever the pool size
     lines = []
     for workers in (1, 2, 3):
         engine.run(engine.RunConfig(d=5, worker_count=workers, progress=True))
         lines.append(re.sub(r", [0-9.]+ seconds", "", capsys.readouterr().err))
     assert len(inline_pools) == 2
-    assert lines[0].count("\n") == 15
+    assert lines[0].count("\n") == lines[0].count(" by simplex") == 15
     assert lines[1] == lines[0] and lines[2] == lines[0]
+
+
+def test_uncertified_parents_send_children_to_the_simplex(generated, capsys):
+    # entries read from a layer file carry no certificate: the same layer
+    # comes out, with every oracle call answered by the simplex
+    layers, _ = generated(5)
+    cfg = engine.RunConfig(d=5, progress=True)
+    bare = engine.LayerRecord(5, 6, tuple(
+        comb.CanonicalVertex(e.subset, e.point, e.orbit_size) for e in layers[6].entries
+    ))
+    for parent in (layers[6], bare):
+        assert rows(engine.expand_layer(parent, cfg)) == rows(layers[7])
+    pushed, bare_line = capsys.readouterr().err.splitlines()
+    calls, simplex = map(int, re.search(r"(\d+) LP calls, (\d+) by simplex", bare_line).groups())
+    assert calls == simplex > int(re.search(r"(\d+) by simplex", pushed).group(1))
 
 
 def test_one_oracle_call_per_sorted_point_is_sound(brute_force_d4):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from whitewhale import comb, core, lp
+from whitewhale import comb, core, engine, lp
 
 
 def test_vertex_feasible_examples():
@@ -125,3 +125,59 @@ def test_feasibility_general_rows():
     assert not lp.feasibility([(1, 2), (-1, -2)]).feasible
     # one row: c = (1, 0) separates
     assert lp.feasibility([(1, -1)]).feasible
+
+
+def test_push_only_certifies_vertices_exhaustive_d4(brute_force_d4):
+    # from the plain all-rows certificate of every vertex P, push toward
+    # P + {g} for every g outside P: a certificate comes back only for a
+    # vertex, and it separates on all rows
+    d = 4
+    pushed = 0
+    for P in brute_force_d4:
+        nums, _ = lp._integer_form(lp.feasibility(lp.signed_rows(P, d)).certificate)
+        for g in core.generators_of(core.full_mask(d) & ~P):
+            S = P | (1 << (g - 1))
+            c = lp._push(nums, g, S, d)
+            if c is not None:
+                assert S in brute_force_d4, (P, g)
+                assert lp.verify_certificate(c, S, d)
+                pushed += 1
+    assert pushed > len(brute_force_d4)
+
+
+def test_pushed_verdicts_match_plain_lp_d5(monkeypatch):
+    # every oracle call of a d=5 run against lp.feasibility on all rows;
+    # most calls must be answered by a push, not by the simplex
+    calls = []
+    oracle = lp.vertex_feasible
+
+    def recording(S, d, parents=()):
+        r = oracle(S, d, parents)
+        calls.append((S, r))
+        return r
+
+    monkeypatch.setattr(lp, "vertex_feasible", recording)
+    engine.run(engine.RunConfig(d=5))
+    assert len(calls) == 111
+    for S, r in calls:
+        assert r.feasible == lp.feasibility(lp.signed_rows(S, 5)).feasible, S
+        if r.feasible:
+            assert lp.verify_certificate(r.certificate, S, 5)
+    simplex = sum(r.by_simplex for _, r in calls)
+    assert 0 < simplex < len(calls) // 2
+
+
+def test_vertex_feasible_tries_every_parent_then_the_simplex():
+    d = 3
+    S = core.mask_of([1, 3, 5])  # U3^2, point (1,1,3)
+    P = core.mask_of([1, 3])
+    c = lp.vertex_feasible(P, d).certificate
+    ones = (Fraction(1),) * d  # certifies the whole generator set, not P
+    r = lp.vertex_feasible(S, d, [(ones, 5), (c, 5)])
+    assert r.feasible and not r.by_simplex
+    assert lp.verify_certificate(r.certificate, S, d)
+    r = lp.vertex_feasible(S, d, [(ones, 5)])
+    assert r.feasible and r.by_simplex
+    # a push never decides a non-vertex: {1, 2} is none
+    r = lp.vertex_feasible(core.mask_of([1, 2]), d, [(lp.vertex_feasible(1, d).certificate, 2)])
+    assert not r.feasible and r.by_simplex
