@@ -168,6 +168,13 @@ def cmd_generate(args) -> int:
         if start is None:
             print("error: --shard requires --resume-from", file=sys.stderr)
             return EXIT_CONFIG
+        if args.store_certificates:
+            print(
+                "error: --store-certificates does not apply to --shard "
+                "(merge-shards merges no certificate files)",
+                file=sys.stderr,
+            )
+            return EXIT_CONFIG
         nxt = engine.expand_layer(start, cfg)
         layerfile.write_layer(
             layerfile.layer_path(args.layers_dir, d, nxt.k, cfg.shard), nxt

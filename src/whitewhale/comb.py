@@ -4,7 +4,9 @@
 feasibility oracle is only called on surviving candidates.  It is a
 necessary condition for vertexhood (given that the subset being extended
 is itself a vertex), so pruning never loses a vertex.  ``shift_closed`` is
-the same kind of necessary condition for a canonical subset.
+the same kind of necessary condition for a canonical subset, and
+``shift_extensions`` turns it into the set of generators that keep a
+shift-closed parent shift-closed, so the engine walks only those.
 ``filter_sorted_extension`` only drops candidates that a sorted sibling
 duplicates under coordinate permutations.
 """
@@ -21,12 +23,19 @@ from . import core
 
 @dataclass(frozen=True)
 class CanonicalVertex:
-    """A canonical vertex: nondecreasing point, plus its orbit size."""
+    """A canonical vertex: nondecreasing point, plus its orbit size.
+
+    ``certificate`` is the c that proves it a vertex, when the run kept
+    one: integers if a parent's certificate was pushed to it, Fractions if
+    the simplex found it, None if it was read from a layer file.
+    """
 
     subset: int
     point: tuple[int, ...]
     orbit_size: int
-    certificate: tuple[Fraction, ...] | None = field(default=None, compare=False, repr=False)
+    certificate: tuple[int, ...] | tuple[Fraction, ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @lru_cache(maxsize=None)
@@ -120,6 +129,18 @@ def shift_closed(S: int, d: int) -> bool:
         if ((S & A) >> s) & ~S:
             return False
     return True
+
+
+def shift_extensions(S: int, d: int) -> int:
+    """Mask of the g outside S whose every adjacent shift (``shift_table``) lies in S.
+
+    For a shift-closed S these are exactly the g with S + {g} shift-closed:
+    the shifts of g differ from g, so they must already lie in S.
+    """
+    blocked = 0
+    for A, s in shift_table(d):
+        blocked |= A & ~(S << s)
+    return core.full_mask(d) & ~(S | blocked)
 
 
 def filter_sorted_extension(p, g: int, d: int) -> bool:

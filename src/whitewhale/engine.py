@@ -10,9 +10,10 @@ Three levels of machinery:
   representative per coordinate-permutation orbit and stops at the
   halfway layer; central symmetry supplies the other half.
 * ``generate`` / ``expand_layer`` are the White Whale specialization:
-  subsets are bitmasks over the integer-encoded generators, and
-  ``comb.may_extend`` then ``comb.filter_sorted_extension`` run on each
-  candidate, and ``comb.shift_closed`` on each child, before its
+  subsets are bitmasks over the integer-encoded generators.  Each parent
+  is extended only by the generators of ``comb.shift_extensions``, so
+  every child is shift-closed as built, and ``comb.may_extend`` then
+  ``comb.filter_sorted_extension`` run on each of them before its
   feasibility call.  Children are canonical by construction, so none is
   relabelled.
 
@@ -81,21 +82,26 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
     """Compute layer k + 1 from a complete layer k, for k below cfg.max_layer.
 
     Candidates: each parent of the shard (all of them unless cfg.shard is
-    set) extended by each g outside it that passes ``comb.may_extend`` and
-    then ``comb.filter_sorted_extension``; the first child per point is
-    kept, and dropped unless ``comb.shift_closed``.  A parent point p is
+    set) extended by each g of ``comb.shift_extensions`` that passes
+    ``comb.may_extend`` and then ``comb.filter_sorted_extension``.  A
+    parent is shift-closed, so each child is too; a parent point p is
     nondecreasing and the filter holds exactly when p + g is, so each child
-    is already canonical.  Oracle: one ``lp.vertex_feasible`` call per
-    remaining child, in point order, inline or over the executor's workers,
-    with the certificates of every parent that produced its point (in
-    parent order) to push from; parents read from a layer file have none,
-    so their children go straight to the simplex.
+    is already canonical.  A point reached by two different masks is
+    dropped.  Oracle: one ``lp.vertex_feasible`` call per remaining point,
+    in point order, inline or over the executor's workers, with the
+    certificates of every parent that produced it (in parent order) to push
+    from; parents read from a layer file have none, so their children go
+    straight to the simplex.
     Output: the feasible children with their certificates and orbit sizes,
     already sorted by point.
 
-    One oracle call per point is sound: a vertex point has a single
-    generator decomposition, so the first child with that point is a vertex
-    iff any subset with that point is.
+    Soundness: a shift-closed parent needs a generator whose shifts all lie
+    in it to stay shift-closed (the shifts of g differ from g), and a
+    nondecreasing point whose subset is not shift-closed is no vertex.  A
+    vertex point has a single generator decomposition (its certificate c
+    has c.g != 0 on every generator, so the point is the unique maximiser
+    of c.x), so a point with two masks is none, and one oracle call per
+    point decides it.
     """
     if layer.k >= cfg.max_layer:
         raise ValueError(f"cannot expand layer {layer.k}: the max layer is {cfg.max_layer}")
@@ -105,21 +111,24 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
         i, n = cfg.shard
         parents = parents[i::n]
     t0 = time.monotonic()
-    full = core.full_mask(d)
-    # point -> (first child mask, (certificate, g) of every parent producing that point)
+    # point -> (child mask, (certificate, g) of every parent producing that point)
     children: dict[tuple[int, ...], tuple[int, list]] = {}
+    ambiguous: set[tuple[int, ...]] = set()  # points reached by two different masks
     candidates = 0
     for e in parents:
-        for g in core.generators_of(full & ~e.subset):
+        for g in core.generators_of(comb.shift_extensions(e.subset, d)):
             if comb.may_extend(e.subset, g, d) and comb.filter_sorted_extension(e.point, g, d):
                 candidates += 1
                 p = core.point_increment(e.point, g, d)
+                mask = e.subset | (1 << (g - 1))
                 child = children.get(p)
                 if child is None:
-                    child = children[p] = (e.subset | (1 << (g - 1)), [])
+                    child = children[p] = (mask, [])
+                elif child[0] != mask:
+                    ambiguous.add(p)
                 if e.certificate is not None:
                     child[1].append((e.certificate, g))
-    points = [p for p in sorted(children) if comb.shift_closed(children[p][0], d)]
+    points = [p for p in sorted(children) if p not in ambiguous]
     masks = [children[p][0] for p in points]
     certs = [children[p][1] for p in points]
     if executor is None:

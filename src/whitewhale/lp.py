@@ -26,7 +26,9 @@ S = P + {g}, it searches the line c_P + tau * g for a certificate of S,
 which takes one subset-sum pass over the generators.  A pushed c is
 accepted only after the same exact all-rows check as a simplex
 certificate, so a push can only confirm a vertex; every other subset,
-and every child whose pushes fail, goes to the simplex.
+and every child whose pushes fail, goes to the simplex.  A pushed c is
+an integer vector and stays one, so the next push starts from it as it
+is.
 """
 
 from __future__ import annotations
@@ -44,8 +46,11 @@ _MAX_PIVOTS = 100_000
 
 @dataclass(frozen=True)
 class FeasibilityResult:
+    """The verdict, and when feasible a c with c.g >= 1 on S and <= -1 outside:
+    integers when a push answered, Fractions from the simplex."""
+
     feasible: bool
-    certificate: tuple[Fraction, ...] | None = None
+    certificate: tuple[int, ...] | tuple[Fraction, ...] | None = None
     by_simplex: bool = True  # False when a pushed parent certificate answered
 
 
@@ -76,7 +81,9 @@ def vertex_feasible(S: int, d: int, parents=()) -> FeasibilityResult:
     ``parents`` holds (certificate, g) pairs of vertices P with
     P + {g} = S, tried in order by ``_push``.  Any c it returns has passed
     the all-rows check, so it proves S a vertex: a push never decides a
-    non-vertex, it only spares the simplex on a vertex.
+    non-vertex, it only spares the simplex on a vertex.  A pushed
+    certificate is returned as integers and pushed from as it is; one from
+    the simplex is made of Fractions.
 
     The simplex runs when no push succeeds.  A shift-closed S (see
     ``comb.shift_closed``) has a nondecreasing point, and if it is a vertex
@@ -89,9 +96,10 @@ def vertex_feasible(S: int, d: int, parents=()) -> FeasibilityResult:
     """
     core.check_dimension(d)
     for c, g in parents:
-        pushed = _push(_integer_form(c)[0], g, S, d)
+        nums = c if type(c[0]) is int else _integer_form(c)[0]
+        pushed = _push(nums, g, S, d)
         if pushed is not None:
-            return FeasibilityResult(True, tuple(map(Fraction, pushed)), by_simplex=False)
+            return FeasibilityResult(True, tuple(pushed), by_simplex=False)
     if comb.shift_closed(S, d):
         cert = _phase_one(_binding_rows(S, d), d, _cone_columns(d))
     else:

@@ -122,16 +122,17 @@ def test_generate_is_deterministic(tmp_path):
 
 
 def test_generate_progress_counts_d5(tmp_path, capsys):
-    # candidates after the vertex rules of comb.may_extend, LP calls after
-    # comb.shift_closed, which rejects all 5 non-vertex calls, and the LP
-    # calls that no pushed parent certificate answered
+    # candidates: the children within comb.shift_extensions that pass
+    # comb.may_extend and comb.filter_sorted_extension, all 111 points
+    # among them vertices; LP calls, and the LP calls that no pushed parent
+    # certificate answered
     argv = ["generate", "-d", 5, "--threads", 1, "--layers-dir", tmp_path / "layers"]
     assert run_cli(*argv) == 0
     rows = re.findall(
         r"(\d+) candidates, (\d+) LP calls, (\d+) by simplex", capsys.readouterr().err
     )
     assert len(rows) == 15
-    assert sum(int(c) for c, _, _ in rows) == 203
+    assert sum(int(c) for c, _, _ in rows) == 198
     assert sum(int(n) for _, n, _ in rows) == 111
     assert sum(int(s) for _, _, s in rows) == 13
 
@@ -200,6 +201,19 @@ def test_shard_without_resume_is_config_error(tmp_path):
         run_cli("generate", "-d", 3, "--layers-dir", tmp_path, "--shard", "nope", "--quiet")
         == cli.EXIT_CONFIG
     )
+
+
+def test_shard_refuses_store_certificates(tmp_path, capsys):
+    # merge-shards merges no .certs files, so a shard's certificates would be
+    # lost: refuse, and write nothing
+    layers_dir = full_run(tmp_path, 4)
+    os.remove(layers_dir / "layer_d4_k5.www")
+    before = sorted(os.listdir(layers_dir))
+    capsys.readouterr()
+    argv = ("--resume-from", 4, "--shard", "0/2", "--store-certificates", "--quiet")
+    assert run_cli("generate", "-d", 4, "--layers-dir", layers_dir, *argv) == cli.EXIT_CONFIG
+    assert "--store-certificates" in capsys.readouterr().err
+    assert sorted(os.listdir(layers_dir)) == before
 
 
 def test_shard_and_merge_cli(tmp_path):

@@ -190,6 +190,29 @@ def test_shift_closure_soundness_exhaustive(brute_force_d4):
     assert sum(len(l.entries) for l in layers) == 112
 
 
+def test_shift_extensions_match_shift_closed_exhaustive(generated):
+    # for every canonical vertex S at d <= 5 and every g outside S, g is in
+    # shift_extensions(S) exactly when S + {g} is shift-closed
+    checked = 0
+    for d in (2, 3, 4, 5):
+        for layer in generated(d)[0]:
+            for e in layer.entries:
+                ext = comb.shift_extensions(e.subset, d)
+                assert not ext & e.subset
+                for g in core.generators_of(core.full_mask(d) & ~e.subset):
+                    child = e.subset | (1 << (g - 1))
+                    assert bool(ext >> (g - 1) & 1) == comb.shift_closed(child, d), (e.point, g)
+                    checked += 1
+    assert checked == 2528
+
+
+def test_shift_extensions_examples():
+    # from the empty set only the generators without a shift: (0,...,0,1,...,1)
+    assert list(core.generators_of(comb.shift_extensions(0, 3))) == [1, 3, 7]
+    # {(0,0,1)}: (0,1,0) shifts to (0,0,1), (1,0,0) to (0,1,0), which is out
+    assert list(core.generators_of(comb.shift_extensions(core.mask_of([1]), 3))) == [2, 3, 7]
+
+
 def test_permute_generator_roundtrip():
     for perm in itertools.permutations(range(3)):
         inverse = tuple(perm.index(j) for j in range(3))

@@ -218,6 +218,18 @@ def test_one_oracle_call_per_sorted_point_is_sound(brute_force_d4):
     assert all(len(v) == 1 for v in verdicts.values())
 
 
+def test_points_with_two_subsets_are_not_vertices(brute_force_d4):
+    # expand_layer drops a point reached by two different masks: over all
+    # 2^15 subsets at d=4, no point with two decompositions is a vertex
+    d = 4
+    subsets: dict[tuple[int, ...], list[int]] = {}
+    for S in range(1 << ((1 << d) - 1)):
+        subsets.setdefault(core.point_of(S, d), []).append(S)
+    shared = [masks for masks in subsets.values() if len(masks) > 1]
+    assert shared
+    assert not any(S in brute_force_d4 for masks in shared for S in masks)
+
+
 def test_shard_union_equals_unsharded(generated):
     layers, _ = generated(4)
     start = layers[3]

@@ -163,8 +163,27 @@ def test_pushed_verdicts_match_plain_lp_d5(monkeypatch):
         assert r.feasible == lp.feasibility(lp.signed_rows(S, 5)).feasible, S
         if r.feasible:
             assert lp.verify_certificate(r.certificate, S, 5)
+            # pushed certificates are integers, simplex ones Fractions
+            want = Fraction if r.by_simplex else int
+            assert all(type(x) is want for x in r.certificate), S
     simplex = sum(r.by_simplex for _, r in calls)
     assert 0 < simplex < len(calls) // 2
+
+
+def test_pushed_certificate_is_integer_and_pushes_again():
+    d = 3
+    P = core.mask_of([1, 3])
+    S = P | (1 << (5 - 1))  # U3^2: {1,3,5}, point (1,1,3)
+    r = lp.vertex_feasible(S, d, [(lp.vertex_feasible(P, d).certificate, 5)])
+    assert r.feasible and not r.by_simplex
+    assert all(type(x) is int for x in r.certificate)
+    assert lp.verify_certificate(r.certificate, S, d)
+    # an integer certificate is pushed from as it is: {1,3,5,7}, point (2,2,4)
+    T = S | (1 << (7 - 1))
+    again = lp.vertex_feasible(T, d, [(r.certificate, 7)])
+    assert again.feasible and not again.by_simplex
+    assert all(type(x) is int for x in again.certificate)
+    assert lp.verify_certificate(again.certificate, T, d)
 
 
 def test_vertex_feasible_tries_every_parent_then_the_simplex():
