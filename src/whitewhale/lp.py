@@ -82,8 +82,8 @@ def vertex_feasible(S: int, d: int, parents=()) -> FeasibilityResult:
     P + {g} = S, tried in order by ``_push``.  Any c it returns has passed
     the all-rows check, so it proves S a vertex: a push never decides a
     non-vertex, it only spares the simplex on a vertex.  A pushed
-    certificate is returned as integers and pushed from as it is; one from
-    the simplex is made of Fractions.
+    certificate is returned as integers; one from the simplex is made of
+    Fractions.
 
     The simplex runs when no push succeeds.  A shift-closed S (see
     ``comb.shift_closed``) has a nondecreasing point, and if it is a vertex
@@ -96,8 +96,7 @@ def vertex_feasible(S: int, d: int, parents=()) -> FeasibilityResult:
     """
     core.check_dimension(d)
     for c, g in parents:
-        nums = c if type(c[0]) is int else _integer_form(c)[0]
-        pushed = _push(nums, g, S, d)
+        pushed = _push(_integer_form(c)[0], g, S, d)
         if pushed is not None:
             return FeasibilityResult(True, tuple(pushed), by_simplex=False)
     if comb.shift_closed(S, d):

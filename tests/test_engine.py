@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from whitewhale import analytics, comb, core, engine, layerfile, tables
+from whitewhale import analytics, comb, core, engine, layerfile, lp, tables
 
 
 def points(layer):
@@ -206,28 +206,46 @@ def test_uncertified_parents_send_children_to_the_simplex(generated, capsys):
 
 
 def test_one_oracle_call_per_sorted_point_is_sound(brute_force_d4):
-    # every subset whose sorted point is that of a vertex is itself a vertex
+    # every subset whose sorted point is that of a vertex is itself a vertex,
+    # and no point with two decompositions is a vertex (expand_layer drops a
+    # point reached by two different masks)
     d = 4
     vertices = brute_force_d4
     verdicts: dict[tuple[int, ...], set[bool]] = {}
+    subsets: dict[tuple[int, ...], list[int]] = {}
     for S in range(1 << ((1 << d) - 1)):
-        key = tuple(sorted(core.point_of(S, d)))
-        verdicts.setdefault(key, set()).add(S in vertices)
+        p = core.point_of(S, d)
+        verdicts.setdefault(tuple(sorted(p)), set()).add(S in vertices)
+        subsets.setdefault(p, []).append(S)
     assert any(True in v for v in verdicts.values())
     assert any(False in v for v in verdicts.values())
     assert all(len(v) == 1 for v in verdicts.values())
-
-
-def test_points_with_two_subsets_are_not_vertices(brute_force_d4):
-    # expand_layer drops a point reached by two different masks: over all
-    # 2^15 subsets at d=4, no point with two decompositions is a vertex
-    d = 4
-    subsets: dict[tuple[int, ...], list[int]] = {}
-    for S in range(1 << ((1 << d) - 1)):
-        subsets.setdefault(core.point_of(S, d), []).append(S)
     shared = [masks for masks in subsets.values() if len(masks) > 1]
     assert shared
-    assert not any(S in brute_force_d4 for masks in shared for S in masks)
+    assert not any(S in vertices for masks in shared for S in masks)
+
+
+def test_point_reached_by_two_masks_gets_no_oracle_call(monkeypatch):
+    # parents {7, 11} and {1, 15} both reach (1, 1, 2, 3), by adding 1 and 3:
+    # the children {1, 7, 11} and {1, 3, 15} differ, so neither is sent;
+    # {7, 15} reaches (1, 2, 2, 3) alone, so its child {1, 7, 15} is
+    d = 4
+    point = (1, 1, 2, 3)
+    parents = engine.LayerRecord(d, 2, tuple(
+        comb.CanonicalVertex(S, core.point_of(S, d), comb.orbit_size(core.point_of(S, d), d))
+        for S in (0b10001000000, 0b100000000000001, 0b100000001000000)
+    ))
+    sent = []
+    real = lp.vertex_feasible
+
+    def spy(S, d, certs=()):
+        sent.append(S)
+        return real(S, d, certs)
+
+    monkeypatch.setattr(lp, "vertex_feasible", spy)
+    nxt = engine.expand_layer(parents, engine.RunConfig(d=d))
+    assert sent == [0b100000001000001]
+    assert point not in {e.point for e in nxt.entries}
 
 
 def test_shard_union_equals_unsharded(generated):

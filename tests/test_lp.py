@@ -178,7 +178,7 @@ def test_pushed_certificate_is_integer_and_pushes_again():
     assert r.feasible and not r.by_simplex
     assert all(type(x) is int for x in r.certificate)
     assert lp.verify_certificate(r.certificate, S, d)
-    # an integer certificate is pushed from as it is: {1,3,5,7}, point (2,2,4)
+    # an integer certificate is pushed from again: {1,3,5,7}, point (2,2,4)
     T = S | (1 << (7 - 1))
     again = lp.vertex_feasible(T, d, [(r.certificate, 7)])
     assert again.feasible and not again.by_simplex
