@@ -6,15 +6,15 @@ necessary condition for vertexhood (given that the subset being extended
 is itself a vertex), so pruning never loses a vertex.  ``shift_closed`` is
 the same kind of necessary condition for a canonical subset, and
 ``shift_extensions`` turns it into the set of generators that keep a
-shift-closed parent shift-closed, so the engine walks only those.
-``filter_sorted_extension`` only drops candidates that a sorted sibling
-duplicates under coordinate permutations.
+shift-closed parent shift-closed, so the engine walks only those, and
+each child it builds has a nondecreasing point, so it is canonical as
+built.  ``canonicalize`` and ``filter_sorted_extension`` serve subsets
+not built that way; the engine calls neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -25,17 +25,14 @@ from . import core
 class CanonicalVertex:
     """A canonical vertex: nondecreasing point, plus its orbit size.
 
-    ``certificate`` is the c that proves it a vertex, when the run kept
-    one: integers if a parent's certificate was pushed to it, Fractions if
-    the simplex found it, None if it was read from a layer file.
+    ``certificate`` is the integer vector c that proves it a vertex, when
+    the run kept one, and None if it was read from a layer file.
     """
 
     subset: int
     point: tuple[int, ...]
     orbit_size: int
-    certificate: tuple[int, ...] | tuple[Fraction, ...] | None = field(
-        default=None, compare=False, repr=False
-    )
+    certificate: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
 
 @lru_cache(maxsize=None)

@@ -12,10 +12,10 @@ Three levels of machinery:
 * ``generate`` / ``expand_layer`` are the White Whale specialization:
   subsets are bitmasks over the integer-encoded generators.  Each parent
   is extended only by the generators of ``comb.shift_extensions``, so
-  every child is shift-closed as built, and ``comb.may_extend`` then
-  ``comb.filter_sorted_extension`` run on each of them before its
-  feasibility call.  Children are canonical by construction, so none is
-  relabelled.
+  every child is shift-closed as built, and ``comb.may_extend`` runs on
+  each of them before its feasibility call.  A shift-closed child has a
+  nondecreasing point, so children are canonical by construction and none
+  is relabelled.
 
 Only two consecutive layers are ever held in memory.  A layer step walks
 the parents in the run's own process and keeps one candidate child per
@@ -83,15 +83,15 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
 
     Candidates: each parent of the shard (all of them unless cfg.shard is
     set) extended by each g of ``comb.shift_extensions`` that passes
-    ``comb.may_extend`` and then ``comb.filter_sorted_extension``.  A
-    parent is shift-closed, so each child is too; a parent point p is
-    nondecreasing and the filter holds exactly when p + g is, so each child
-    is already canonical.  A point reached by two different masks is
-    dropped.  Oracle: one ``lp.vertex_feasible`` call per remaining point,
-    in point order, inline or over the executor's workers, with the
-    certificates of every parent that produced it (in parent order) to push
-    from; parents read from a layer file have none, so their children go
-    straight to the simplex.
+    ``comb.may_extend``.  A parent is shift-closed, so each child is too,
+    and the point of a shift-closed subset is nondecreasing (the shift
+    injects the members with a 1 at i and a 0 at i + 1 into those with the
+    reverse), so each child is already canonical.  A point reached by two
+    different masks is dropped.  Oracle: one ``lp.vertex_feasible`` call
+    per remaining point, in point order, inline or over the executor's
+    workers, with the certificates of every parent that produced it (in
+    parent order) to push from; parents read from a layer file have none,
+    so their children go straight to the simplex.
     Output: the feasible children with their certificates and orbit sizes,
     already sorted by point.
 
@@ -117,7 +117,7 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
     candidates = 0
     for e in parents:
         for g in core.generators_of(comb.shift_extensions(e.subset, d)):
-            if comb.may_extend(e.subset, g, d) and comb.filter_sorted_extension(e.point, g, d):
+            if comb.may_extend(e.subset, g, d):
                 candidates += 1
                 p = core.point_increment(e.point, g, d)
                 mask = e.subset | (1 << (g - 1))
@@ -178,8 +178,9 @@ def generate(cfg: RunConfig, start: LayerRecord | None = None):
     """Yield layers from the start layer (default: layer 0) up to cfg.max_layer.
 
     With ``start`` given, yields layers start.k + 1 .. max_layer and is
-    identical to the tail of a fresh run.  One worker pool serves the whole
-    run when ``_pool_size(cfg)`` is above 1.
+    identical to the tail of a fresh run; a start above max_layer is a
+    ValueError.  One worker pool serves the whole run when
+    ``_pool_size(cfg)`` is above 1.
     """
     if start is None:
         layer = layer_zero(cfg.d)
@@ -187,6 +188,8 @@ def generate(cfg: RunConfig, start: LayerRecord | None = None):
     else:
         if start.d != cfg.d:
             raise ValueError(f"start layer is for d={start.d}, config wants d={cfg.d}")
+        if start.k > cfg.max_layer:
+            raise ValueError(f"start layer {start.k} is above the max layer {cfg.max_layer}")
         layer = start
     if cfg.shard is not None and cfg.max_layer - layer.k > 1:
         raise ValueError("sharded runs expand a single layer; merge before continuing")

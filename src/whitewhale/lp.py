@@ -13,10 +13,11 @@ The decision is made exactly with a phase-one simplex on the small system
 
 using fraction-free integer pivoting (all tableau entries stay integers)
 and Bland's least-index rule, so verdicts are deterministic and free of
-rounding.  When the minimum is positive, the dual solution yields an
-exact rational certificate c, which is always re-verified before being
-returned.  Cone columns b (with 0 in the convexity row) may be added to
-the balance equations; they ask in addition for c.b >= 0.
+rounding.  When the minimum is positive, the dual solution yields a
+certificate c, scaled to the smallest integer vector on its ray, which is
+always re-verified before being returned.  Cone columns b (with 0 in the
+convexity row) may be added to the balance equations; they ask in
+addition for c.b >= 0.
 ``vertex_feasible`` uses them to look only for nondecreasing c on
 canonical subsets, which needs far fewer rows.
 
@@ -26,9 +27,9 @@ S = P + {g}, it searches the line c_P + tau * g for a certificate of S,
 which takes one subset-sum pass over the generators.  A pushed c is
 accepted only after the same exact all-rows check as a simplex
 certificate, so a push can only confirm a vertex; every other subset,
-and every child whose pushes fail, goes to the simplex.  A pushed c is
-an integer vector and stays one, so the next push starts from it as it
-is.
+and every child whose pushes fail, goes to the simplex.  Every
+certificate, pushed or from the simplex, is an integer vector, so the
+next push starts from it as it is.
 """
 
 from __future__ import annotations
@@ -46,18 +47,18 @@ _MAX_PIVOTS = 100_000
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """The verdict, and when feasible a c with c.g >= 1 on S and <= -1 outside:
-    integers when a push answered, Fractions from the simplex."""
+    """The verdict, and when feasible an integer vector c with c.g >= 1 on S
+    and <= -1 outside."""
 
     feasible: bool
-    certificate: tuple[int, ...] | tuple[Fraction, ...] | None = None
+    certificate: tuple[int, ...] | None = None
     by_simplex: bool = True  # False when a pushed parent certificate answered
 
 
 def feasibility(rows) -> FeasibilityResult:
     """Decide whether some c satisfies c.a >= 1 for every integer row a.
 
-    Exact; returns a rational certificate, verified on every row, when
+    Exact; returns an integer certificate, verified on every row, when
     feasible.
     """
     rows = [tuple(r) for r in rows]
@@ -66,13 +67,12 @@ def feasibility(rows) -> FeasibilityResult:
     d = len(rows[0])
     if any(len(r) != d for r in rows):
         raise ValueError("rows of mixed dimension")
-    cert = _phase_one(rows, d)
-    if cert is None:
-        return FeasibilityResult(False, None)
-    nums, den = cert
-    if any(_dot(nums, r) < den for r in rows):
+    c = _phase_one(rows, d)
+    if c is None:
+        return FeasibilityResult(False)
+    if any(_dot(c, r) < 1 for r in rows):
         raise AssertionError("internal error: certificate failed exact re-verification")
-    return FeasibilityResult(True, tuple(Fraction(n, den) for n in nums))
+    return FeasibilityResult(True, c)
 
 
 def vertex_feasible(S: int, d: int, parents=()) -> FeasibilityResult:
@@ -81,9 +81,7 @@ def vertex_feasible(S: int, d: int, parents=()) -> FeasibilityResult:
     ``parents`` holds (certificate, g) pairs of vertices P with
     P + {g} = S, tried in order by ``_push``.  Any c it returns has passed
     the all-rows check, so it proves S a vertex: a push never decides a
-    non-vertex, it only spares the simplex on a vertex.  A pushed
-    certificate is returned as integers; one from the simplex is made of
-    Fractions.
+    non-vertex, it only spares the simplex on a vertex.
 
     The simplex runs when no push succeeds.  A shift-closed S (see
     ``comb.shift_closed``) has a nondecreasing point, and if it is a vertex
@@ -91,24 +89,22 @@ def vertex_feasible(S: int, d: int, parents=()) -> FeasibilityResult:
     cone columns e_{i+1} - e_i, which force c to be nondecreasing, and
     keeps only the rows that can bind for such c: the shift-minimal members
     and the shift-maximal non-members (every other row is implied).  Any
-    other S gets all 2^d - 1 rows.  The certificate is re-verified on all
-    2^d - 1 rows in exact integer arithmetic.
+    other S is ``feasibility(signed_rows(S, d))``.  The certificate is
+    re-verified on all 2^d - 1 rows in exact integer arithmetic.
     """
     core.check_dimension(d)
     for c, g in parents:
-        pushed = _push(_integer_form(c)[0], g, S, d)
+        pushed = _push(c, g, S, d)
         if pushed is not None:
-            return FeasibilityResult(True, tuple(pushed), by_simplex=False)
-    if comb.shift_closed(S, d):
-        cert = _phase_one(_binding_rows(S, d), d, _cone_columns(d))
-    else:
-        cert = _phase_one(signed_rows(S, d), d)
-    if cert is None:
-        return FeasibilityResult(False, None)
-    nums, den = cert
-    if not _separates(nums, den, S, d):
+            return FeasibilityResult(True, pushed, by_simplex=False)
+    if not comb.shift_closed(S, d):
+        return feasibility(signed_rows(S, d))
+    c = _phase_one(_binding_rows(S, d), d, _cone_columns(d))
+    if c is None:
+        return FeasibilityResult(False)
+    if not _separates(c, 1, S, d):
         raise AssertionError("internal error: certificate failed exact re-verification")
-    return FeasibilityResult(True, tuple(Fraction(n, den) for n in nums))
+    return FeasibilityResult(True, c)
 
 
 def vertex_feasible_vectors(mask: int, vectors) -> FeasibilityResult:
@@ -163,17 +159,15 @@ def _binding_rows(S: int, d: int) -> list[tuple[int, ...]]:
 
 
 def verify_certificate(c, S: int, d: int) -> bool:
-    """Exact check that c.g >= 1 for g in S and c.g <= -1 for g outside S."""
+    """Exact check that c.g >= 1 for g in S and c.g <= -1 for g outside S.
+
+    c may be rational (anything ``Fraction`` takes); it is checked as
+    nums / den with den the least common denominator."""
     c = [Fraction(x) for x in c]
     if len(c) != d:
         raise ValueError(f"certificate has {len(c)} coordinates, expected {d}")
-    return _separates(*_integer_form(c), S, d)
-
-
-def _integer_form(c) -> tuple[list[int], int]:
-    """(nums, den) with c = nums / den and den > 0, for Fraction or int coordinates c."""
     den = math.lcm(*(x.denominator for x in c))
-    return [x.numerator * (den // x.denominator) for x in c], den
+    return _separates([x.numerator * (den // x.denominator) for x in c], den, S, d)
 
 
 def _subset_sums(nums) -> list[int]:
@@ -201,16 +195,16 @@ def _separates(nums, den, S: int, d: int) -> bool:
     return True
 
 
-def _push(nums, g: int, S: int, d: int) -> list[int] | None:
+def _push(nums, g: int, S: int, d: int) -> tuple[int, ...] | None:
     """An integer certificate of S on the line c_P + tau * g, or None.
 
-    c_P, a positive multiple of nums, certifies a vertex P and
-    S = P + {g}.  Row h asks for c_P.h + tau * g.h > 0 if h is in S and
-    < 0 if not, and g.h >= 0, so the rows with g.h > 0 bound tau from
-    below (members) or above (non-members); rows with g.h = 0 do not move
-    with tau.  The midpoint of the interval, if it is non-empty and bounded
-    above, is scaled so the smallest margin is 1, then rounded at the first
-    scale s = 1, 2, ... that passes the all-rows check ``_separates``.
+    c_P = nums, an integer vector, certifies a vertex P and S = P + {g}.
+    Row h asks for c_P.h + tau * g.h > 0 if h is in S and < 0 if not,
+    and g.h >= 0, so the rows with g.h > 0 bound tau from below (members)
+    or above (non-members); rows with g.h = 0 do not move with tau.  The
+    midpoint of the interval, if it is non-empty and bounded above, is
+    scaled so the smallest margin is 1, then rounded at the first scale
+    s = 1, 2, ... that passes the all-rows check ``_separates``.
     Rounding moves a margin by at most d / 2, so s = d // 2 + 1 passes
     whenever the midpoint separates S.
     """
@@ -232,7 +226,7 @@ def _push(nums, g: int, S: int, d: int) -> list[int] | None:
     x = [q * n + p * v for n, v in zip(nums, core.generator_vectors(d)[g])]
     m = min(map(abs, islice(_subset_sums(x), 1, None)))
     for s in range(1, d // 2 + 2):
-        c = [(2 * s * v + m) // (2 * m) for v in x]
+        c = tuple((2 * s * v + m) // (2 * m) for v in x)
         if _separates(c, 1, S, d):
             return c
     return None
@@ -254,8 +248,8 @@ def _phase_one(rows, d, cone=()):
     Cone columns enter the balance equations like rows but carry 0 in the
     convexity row.  Returns None when the origin is a convex combination of
     the rows plus a nonnegative combination of the cone columns (system
-    infeasible), else (numerators, denominator) of a c with c.a >= 1 on
-    the rows and c.b >= 0 on the cone columns; the denominator is positive.
+    infeasible), else an integer c with c.a >= 1 on the rows and c.b >= 0
+    on the cone columns.
     """
     cols = list(rows) + list(cone)
     n = len(cols)
@@ -327,6 +321,8 @@ def _phase_one(rows, d, cone=()):
     w = obj[rhs]
     if w == 0:
         return None
-    # Dual values live under the artificial columns; c = -pi / w separates.
+    # Dual values live under the artificial columns: nums / w separates
+    # (w > 0), and so does its multiple by the integer w / gcd(w, nums).
     nums = [-(obj[art0 + i] + den) for i in range(d)]
-    return nums, w
+    g = math.gcd(w, *nums)
+    return tuple(n // g for n in nums)

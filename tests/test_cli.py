@@ -123,7 +123,7 @@ def test_generate_is_deterministic(tmp_path):
 
 def test_generate_progress_counts_d5(tmp_path, capsys):
     # candidates: the children within comb.shift_extensions that pass
-    # comb.may_extend and comb.filter_sorted_extension, all 111 points
+    # comb.may_extend, all 111 points
     # among them vertices; LP calls, and the LP calls that no pushed parent
     # certificate answered
     argv = ["generate", "-d", 5, "--threads", 1, "--layers-dir", tmp_path / "layers"]
@@ -259,6 +259,17 @@ def test_shard_at_or_past_max_layer_is_config_error(tmp_path):
             == cli.EXIT_CONFIG
         )
     assert not list(layers_dir.glob("*.part*"))
+
+
+def test_resume_past_max_layer_is_config_error(tmp_path):
+    # the unsharded form of the request above: refused, nothing rewritten;
+    # resuming at the max layer itself is allowed and writes nothing new
+    layers_dir = full_run(tmp_path, 4)
+    before = {p.name: p.read_bytes() for p in layers_dir.iterdir()}
+    argv = ("generate", "-d", 4, "--layers-dir", layers_dir, "--quiet")
+    assert run_cli(*argv, "--resume-from", 5, "--max-layer", 3) == cli.EXIT_CONFIG
+    assert run_cli(*argv, "--resume-from", 3, "--max-layer", 3) == cli.EXIT_OK
+    assert {p.name: p.read_bytes() for p in layers_dir.iterdir()} == before
 
 
 def _subcommands():

@@ -104,7 +104,6 @@ def test_filter_sorted_extension_examples():
 
 
 def test_filter_sorted_extension_keeps_exactly_sorted_children(generated):
-    # engine.expand_layer relies on this to take every child as canonical
     for d in (2, 3, 4, 5):
         layers, _ = generated(d)
         for layer in layers:
@@ -192,7 +191,9 @@ def test_shift_closure_soundness_exhaustive(brute_force_d4):
 
 def test_shift_extensions_match_shift_closed_exhaustive(generated):
     # for every canonical vertex S at d <= 5 and every g outside S, g is in
-    # shift_extensions(S) exactly when S + {g} is shift-closed
+    # shift_extensions(S) exactly when S + {g} is shift-closed, and then the
+    # point of S + {g} is nondecreasing: engine.expand_layer takes each such
+    # child as canonical
     checked = 0
     for d in (2, 3, 4, 5):
         for layer in generated(d)[0]:
@@ -202,6 +203,9 @@ def test_shift_extensions_match_shift_closed_exhaustive(generated):
                 for g in core.generators_of(core.full_mask(d) & ~e.subset):
                     child = e.subset | (1 << (g - 1))
                     assert bool(ext >> (g - 1) & 1) == comb.shift_closed(child, d), (e.point, g)
+                    if ext >> (g - 1) & 1:
+                        p = core.point_increment(e.point, g, d)
+                        assert all(a <= b for a, b in zip(p, p[1:])), (e.point, g)
                     checked += 1
     assert checked == 2528
 

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -48,14 +47,16 @@ def _sample_masks(rng, count):
     return known + [rng.getrandbits(15) for _ in range(count)]
 
 
-def test_certificates_are_exact_fractions_and_verify():
+def test_certificates_are_integers_and_verify():
+    # the simplex certificates, on the reduced and on the all-rows system,
+    # are integer vectors
     rng = random.Random(3)
     feas = 0
     for S in _sample_masks(rng, 200):
         result = lp.vertex_feasible(S, 4)
         if result.feasible:
             feas += 1
-            assert all(isinstance(c, Fraction) for c in result.certificate)
+            assert all(type(c) is int for c in result.certificate)
             assert lp.verify_certificate(result.certificate, S, 4)
         else:
             assert result.certificate is None
@@ -117,10 +118,14 @@ def test_feasibility_general_rows():
     # strictly separable rows
     r = lp.feasibility([(1, 0), (1, 1)])
     assert r.feasible
+    assert all(type(c) is int for c in r.certificate)
     assert all(
         sum(c * x for c, x in zip(r.certificate, row)) >= 1
         for row in [(1, 0), (1, 1)]
     )
+    # the simplex finds c = (1/3, 1/5); it comes back as the smallest
+    # integer vector on that ray
+    assert lp.feasibility([(3, 0), (0, 5)]).certificate == (5, 3)
     # origin is the midpoint of the rows: infeasible
     assert not lp.feasibility([(1, 2), (-1, -2)]).feasible
     # one row: c = (1, 0) separates
@@ -134,10 +139,10 @@ def test_push_only_certifies_vertices_exhaustive_d4(brute_force_d4):
     d = 4
     pushed = 0
     for P in brute_force_d4:
-        nums, _ = lp._integer_form(lp.feasibility(lp.signed_rows(P, d)).certificate)
+        cert = lp.feasibility(lp.signed_rows(P, d)).certificate
         for g in core.generators_of(core.full_mask(d) & ~P):
             S = P | (1 << (g - 1))
-            c = lp._push(nums, g, S, d)
+            c = lp._push(cert, g, S, d)
             if c is not None:
                 assert S in brute_force_d4, (P, g)
                 assert lp.verify_certificate(c, S, d)
@@ -147,7 +152,7 @@ def test_push_only_certifies_vertices_exhaustive_d4(brute_force_d4):
 
 def test_pushed_verdicts_match_plain_lp_d5(monkeypatch):
     # every oracle call of a d=5 run against lp.feasibility on all rows;
-    # most calls must be answered by a push, not by the simplex
+    # all but 13 calls are answered by a push, not by the simplex
     calls = []
     oracle = lp.vertex_feasible
 
@@ -163,11 +168,9 @@ def test_pushed_verdicts_match_plain_lp_d5(monkeypatch):
         assert r.feasible == lp.feasibility(lp.signed_rows(S, 5)).feasible, S
         if r.feasible:
             assert lp.verify_certificate(r.certificate, S, 5)
-            # pushed certificates are integers, simplex ones Fractions
-            want = Fraction if r.by_simplex else int
-            assert all(type(x) is want for x in r.certificate), S
-    simplex = sum(r.by_simplex for _, r in calls)
-    assert 0 < simplex < len(calls) // 2
+            # pushed and simplex certificates alike are integers
+            assert all(type(x) is int for x in r.certificate), S
+    assert sum(r.by_simplex for _, r in calls) == 13
 
 
 def test_pushed_certificate_is_integer_and_pushes_again():
@@ -191,7 +194,7 @@ def test_vertex_feasible_tries_every_parent_then_the_simplex():
     S = core.mask_of([1, 3, 5])  # U3^2, point (1,1,3)
     P = core.mask_of([1, 3])
     c = lp.vertex_feasible(P, d).certificate
-    ones = (Fraction(1),) * d  # certifies the whole generator set, not P
+    ones = (1,) * d  # certifies the whole generator set, not P
     r = lp.vertex_feasible(S, d, [(ones, 5), (c, 5)])
     assert r.feasible and not r.by_simplex
     assert lp.verify_certificate(r.certificate, S, d)
