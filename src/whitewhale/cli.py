@@ -118,8 +118,12 @@ def _load_summary(layers_dir: str, d: int) -> dict:
                     raise ValueError("not a JSON object")
             except ValueError as exc:
                 raise layerfile.LayerFileError(f"corrupt summary file {path}: {exc}") from exc
-        if summary.get("d") == d:
-            return summary
+        if summary.get("d") != d:
+            raise layerfile.LayerFileError(
+                f"summary file {path} is for d={summary.get('d')}, not d={d}; "
+                "use another --layers-dir"
+            )
+        return summary
     return {"d": d, "a": None, "e": None, "o": None, "layers": [], "wall_seconds": None}
 
 
@@ -156,6 +160,7 @@ def cmd_generate(args) -> int:
         progress=not args.quiet,
     )
     os.makedirs(args.layers_dir, exist_ok=True)
+    summary = _load_summary(args.layers_dir, d)
     t0 = time.monotonic()
 
     start = None
@@ -181,25 +186,34 @@ def cmd_generate(args) -> int:
         )
         return EXIT_OK
 
+    # the summary needs every layer; a resumed run reads those below its start
+    complete = cfg.max_layer == core.halfway_layer(d)
+    rows = []
+    if complete and start is not None:
+        rows = [
+            _summary_row(layerfile.read_layer(layerfile.layer_path(args.layers_dir, d, k), d, k))
+            for k in range(start.k)
+        ]
+        rows.append(_summary_row(start))
     for layer in engine.generate(cfg, start):
         layerfile.write_layer(layerfile.layer_path(args.layers_dir, d, layer.k), layer)
         if args.store_certificates and layer.k > 0:
             _write_certificates(args.layers_dir, layer)
+        rows.append(_summary_row(layer))
 
-    if cfg.max_layer == core.halfway_layer(d):
-        layers = _read_all_layers(args.layers_dir, d)
-        summary = _load_summary(args.layers_dir, d)
+    if complete:
         summary.update(
-            a=sum(l.orbit_sum for l in layers),
-            o=sum(len(l.entries) for l in layers),
-            layers=[
-                {"k": l.k, "canonical": len(l.entries), "orbit_sum": l.orbit_sum}
-                for l in layers
-            ],
+            a=sum(r["orbit_sum"] for r in rows),
+            o=sum(r["canonical"] for r in rows),
+            layers=rows,
             wall_seconds=round(time.monotonic() - t0, 3),
         )
         _write_summary(args.layers_dir, summary)
     return EXIT_OK
+
+
+def _summary_row(layer: engine.LayerRecord) -> dict:
+    return {"k": layer.k, "canonical": len(layer.entries), "orbit_sum": layer.orbit_sum}
 
 
 def _write_certificates(layers_dir: str, layer: engine.LayerRecord) -> None:
@@ -211,6 +225,7 @@ def _write_certificates(layers_dir: str, layer: engine.LayerRecord) -> None:
 
 
 def cmd_edges(args) -> int:
+    summary = _load_summary(args.layers_dir, args.d)
     layers = _read_all_layers(args.layers_dir, args.d)
     report = analytics.count_edges(layers)
     path = os.path.join(args.layers_dir, f"edges_d{args.d}.csv")
@@ -220,7 +235,6 @@ def cmd_edges(args) -> int:
         for layer, degs in zip(layers[1:], report.deg_below):
             for e, deg in zip(layer.entries, degs):
                 writer.writerow([layer.k, " ".join(str(x) for x in e.point), e.orbit_size, deg])
-    summary = _load_summary(args.layers_dir, args.d)
     summary["e"] = report.e_total
     _write_summary(args.layers_dir, summary)
     print(f"e({args.d}) = {report.e_total}")

@@ -23,9 +23,10 @@ canonical subsets, which needs far fewer rows.
 
 Before the simplex, ``vertex_feasible`` tries a push: given the
 certificate c_P of a parent vertex P and the generator g with
-S = P + {g}, it searches the line c_P + tau * g for a certificate of S,
-which takes one subset-sum pass over the generators.  A pushed c is
-accepted only after the same exact all-rows check as a simplex
+S = P + {g}, it searches the line c_P + tau * g for a certificate of S.
+One subset-sum pass bounds tau (row g from below, the non-members
+meeting g from above), the simplest rational in that interval gives an
+integer c, and c gets the same exact all-rows check as a simplex
 certificate, so a push can only confirm a vertex; every other subset,
 and every child whose pushes fail, goes to the simplex.  Every
 certificate, pushed or from the simplex, is an integer vector, so the
@@ -38,7 +39,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 
 from . import comb, core
 
@@ -199,37 +199,51 @@ def _push(nums, g: int, S: int, d: int) -> tuple[int, ...] | None:
     """An integer certificate of S on the line c_P + tau * g, or None.
 
     c_P = nums, an integer vector, certifies a vertex P and S = P + {g}.
-    Row h asks for c_P.h + tau * g.h > 0 if h is in S and < 0 if not,
-    and g.h >= 0, so the rows with g.h > 0 bound tau from below (members)
-    or above (non-members); rows with g.h = 0 do not move with tau.  The
-    midpoint of the interval, if it is non-empty and bounded above, is
-    scaled so the smallest margin is 1, then rounded at the first scale
-    s = 1, 2, ... that passes the all-rows check ``_separates``.
-    Rounding moves a margin by at most d / 2, so s = d // 2 + 1 passes
-    whenever the midpoint separates S.
+    Row h asks for c_P.h + tau * g.h > 0 if h is in S and < 0 if not, and
+    g.h >= 0, so only the rows with g.h > 0 move with tau.  Row g bounds
+    tau from below: tau > -c_P.g / |g| > 0.  Every other member h of S lies
+    in P, so c_P.h >= 1, and any tau > 0 keeps its row positive.  The
+    non-members meeting g bound tau from above.  In the open interval this
+    leaves, if it is non-empty and bounded, tau = p / q is the simplest
+    rational (``_simplest_between``), and c = (q * c_P + p * g) / gcd is an
+    integer vector whose margins are non-zero integers of the right sign.
+    It is returned if it passes the all-rows check ``_separates``, which
+    fails only when c_P does not certify P.
     """
     dot = _subset_sums(nums)
-    # tau in (lo_n / lo_d, hi_n / hi_d) in units of nums, denominators
-    # positive; g in S bounds it from below, and hi_d = 0 means no upper bound
-    lo_n, lo_d, hi_n, hi_d = -1, 0, 1, 0
+    # tau in (lo_n / lo_d, hi_n / hi_d), denominators positive; hi_d = 0
+    # means no non-member bounds it from above
+    lo_n, lo_d, hi_n, hi_d = -dot[g], g.bit_count(), 1, 0
     for h, b in _meeting(g, d):
-        a = -dot[h]
-        if (S >> (h - 1)) & 1:
-            if a * lo_d > lo_n * b:
-                lo_n, lo_d = a, b
-        elif a * hi_d < hi_n * b:
-            hi_n, hi_d = a, b
+        if not (S >> (h - 1)) & 1 and -dot[h] * hi_d < hi_n * b:
+            hi_n, hi_d = -dot[h], b
     if not hi_d or lo_n * hi_d >= hi_n * lo_d:
         return None
-    # tau = p / q at the midpoint; c is proportional to q * nums + p * g
-    p, q = lo_n * hi_d + hi_n * lo_d, 2 * lo_d * hi_d
-    x = [q * n + p * v for n, v in zip(nums, core.generator_vectors(d)[g])]
-    m = min(map(abs, islice(_subset_sums(x), 1, None)))
-    for s in range(1, d // 2 + 2):
-        c = tuple((2 * s * v + m) // (2 * m) for v in x)
-        if _separates(c, 1, S, d):
-            return c
-    return None
+    p, q = _simplest_between(lo_n, lo_d, hi_n, hi_d)
+    c = [q * n + p * v for n, v in zip(nums, core.generator_vectors(d)[g])]
+    k = math.gcd(*c)
+    c = tuple(x // k for x in c)
+    return c if _separates(c, 1, S, d) else None
+
+
+def _simplest_between(a: int, b: int, c: int, e: int) -> tuple[int, int]:
+    """(p, q) with p / q in the open interval (a / b, c / e) and q least.
+
+    Needs b > 0, e >= 0 (e = 0: no upper end) and a / b < c / e; the
+    result is the simplest rational there when 0 <= a / b, and lies inside
+    in any case.  Each step takes the integer part n of the lower end:
+    n + 1 is the next term if it lies below the upper end, else every x in
+    the interval is n + 1 / y with y in (e / (c - n e), b / (a - n b)).
+    p / q is the last convergent of the continued fraction of these terms,
+    so it is in lowest terms.
+    """
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        n = a // b
+        if not e or (n + 1) * e < c:
+            return (n + 1) * p1 + p0, (n + 1) * q1 + q0
+        p0, q0, p1, q1 = p1, q1, n * p1 + p0, n * q1 + q0
+        a, b, c, e = e, c - n * e, b, a - n * b
 
 
 @lru_cache(maxsize=None)

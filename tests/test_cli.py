@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from whitewhale import cli, comb, core, engine, layerfile
+from whitewhale import cli, comb, core, engine, layerfile, tables
 
 
 def run_cli(*args):
@@ -164,8 +164,9 @@ def test_generate_resume_missing_file_is_io_error(tmp_path):
 
 
 def test_generate_bad_lower_layer_keeps_summary(tmp_path, capsys):
-    # the summary re-reads every layer; a missing or corrupt one must fail
-    # the run instead of leaving the previous summary in place
+    # a resumed run reads the layers below its start for the summary; a
+    # missing or corrupt one must fail the run instead of leaving the
+    # previous summary in place
     layers_dir = full_run(tmp_path, 4)
     assert run_cli("edges", "-d", 4, "--layers-dir", layers_dir) == 0
     summary = (layers_dir / "summary.json").read_bytes()
@@ -182,6 +183,47 @@ def test_generate_bad_lower_layer_keeps_summary(tmp_path, capsys):
     assert run_cli(*argv) == cli.EXIT_IO
     assert "checksum" in capsys.readouterr().err
     assert (layers_dir / "summary.json").read_bytes() == summary
+
+
+def test_generate_summary_reads_only_layers_below_the_start(tmp_path, monkeypatch):
+    # the summary counts the layers the run made as it makes them; a resume
+    # from K reads layer K and the K layers below it, a fresh run none
+    reads = []
+    read_layer = layerfile.read_layer
+
+    def counting(path, d, k):
+        reads.append(k)
+        return read_layer(path, d, k)
+
+    monkeypatch.setattr(layerfile, "read_layer", counting)
+    layers_dir = full_run(tmp_path, 5)
+    assert reads == []
+    summary = json.loads((layers_dir / "summary.json").read_text())
+    for k in (0, 7, 15):
+        reads.clear()
+        argv = ("generate", "-d", 5, "--layers-dir", layers_dir, "--resume-from", k, "--quiet")
+        assert run_cli(*argv) == cli.EXIT_OK
+        assert sorted(reads) == list(range(k + 1))
+        again = json.loads((layers_dir / "summary.json").read_text())
+        assert {key: again[key] for key in ("a", "o", "layers")} == {
+            key: summary[key] for key in ("a", "o", "layers")
+        }
+    assert (summary["a"], summary["o"]) == (tables.A_VALUES[5], tables.O_VALUES[5])
+
+
+def test_summary_for_another_dimension_is_refused(tmp_path, capsys):
+    # one summary.json per directory: a run for another d would drop e(3)
+    layers_dir = full_run(tmp_path, 3)
+    assert run_cli("edges", "-d", 3, "--layers-dir", layers_dir) == 0
+    summary = (layers_dir / "summary.json").read_bytes()
+    capsys.readouterr()
+    for argv in (("generate", "-d", 4, "--quiet"), ("edges", "-d", 4)):
+        assert run_cli(*argv, "--layers-dir", layers_dir) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "d=3" in err and "d=4" in err
+    assert (layers_dir / "summary.json").read_bytes() == summary
+    assert json.loads(summary)["e"] == 48
+    assert not list(layers_dir.glob("layer_d4_*"))
 
 
 def test_generate_rejects_bad_dimension(tmp_path):

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -132,10 +134,29 @@ def test_feasibility_general_rows():
     assert lp.feasibility([(1, -1)]).feasible
 
 
+def _push_interval_all_rows(nums, g, S, d):
+    """The tau interval (lo, hi) of the line nums + tau * g, from every row
+    meeting g, members and non-members alike; None when it is empty or
+    unbounded."""
+    dot = lp._subset_sums(nums)
+    lo, hi = None, None
+    for h, b in lp._meeting(g, d):
+        bound = Fraction(-dot[h], b)
+        if (S >> (h - 1)) & 1:
+            lo = bound if lo is None else max(lo, bound)
+        else:
+            hi = bound if hi is None else min(hi, bound)
+    if hi is None or lo >= hi:
+        return None
+    return lo, hi
+
+
 def test_push_only_certifies_vertices_exhaustive_d4(brute_force_d4):
     # from the plain all-rows certificate of every vertex P, push toward
-    # P + {g} for every g outside P: a certificate comes back only for a
-    # vertex, and it separates on all rows
+    # P + {g} for every g outside P: a certificate comes back exactly when
+    # the interval over all rows meeting g (members included) is non-empty
+    # and bounded, only for a vertex, and it separates on all rows; it lies
+    # on the line at the simplest tau of that interval
     d = 4
     pushed = 0
     for P in brute_force_d4:
@@ -143,11 +164,35 @@ def test_push_only_certifies_vertices_exhaustive_d4(brute_force_d4):
         for g in core.generators_of(core.full_mask(d) & ~P):
             S = P | (1 << (g - 1))
             c = lp._push(cert, g, S, d)
+            interval = _push_interval_all_rows(cert, g, S, d)
+            assert (c is not None) == (interval is not None), (P, g)
             if c is not None:
                 assert S in brute_force_d4, (P, g)
                 assert lp.verify_certificate(c, S, d)
+                lo, hi = interval
+                p, q = lp._simplest_between(
+                    lo.numerator, lo.denominator, hi.numerator, hi.denominator
+                )
+                line = [q * n + p * v for n, v in zip(cert, core.generator_vectors(d)[g])]
+                assert c == tuple(x // math.gcd(*line) for x in line), (P, g)
                 pushed += 1
     assert pushed > len(brute_force_d4)
+
+
+def test_simplest_between_exhaustive():
+    # every open interval between fractions p / q, 0 <= p <= 20, 1 <= q <= 6:
+    # the result lies strictly inside, in lowest terms, and no fraction of a
+    # smaller denominator does
+    ends = sorted({Fraction(p, q) for p in range(21) for q in range(1, 7)})
+    for lo in ends:
+        for hi in ends:
+            if lo >= hi:
+                continue
+            p, q = lp._simplest_between(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+            assert lo < Fraction(p, q) < hi and math.gcd(p, q) == 1, (lo, hi)
+            for r in range(1, q):
+                # the least fraction of denominator r above lo
+                assert Fraction(math.floor(lo * r) + 1, r) >= hi, (lo, hi, r)
 
 
 def test_pushed_verdicts_match_plain_lp_d5(monkeypatch):
