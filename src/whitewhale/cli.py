@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -98,10 +99,12 @@ def _common(p):
 
 def _shard(text: str):
     try:
-        i, n = text.split("/")
-        return int(i), int(n)
+        i, n = map(int, text.split("/"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected I/N, got {text!r}") from None
+    if not 0 <= i < n:
+        raise argparse.ArgumentTypeError(f"shard index {i} out of range for total {n}")
+    return i, n
 
 
 def _summary_path(layers_dir: str) -> str:
@@ -128,12 +131,9 @@ def _load_summary(layers_dir: str, d: int) -> dict:
 
 
 def _write_summary(layers_dir: str, summary: dict) -> None:
-    path = _summary_path(layers_dir)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with layerfile.atomic_open(_summary_path(layers_dir)) as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _read_all_layers(layers_dir: str, d: int) -> list[engine.LayerRecord]:
@@ -156,7 +156,6 @@ def cmd_generate(args) -> int:
         d=d,
         max_layer=args.max_layer,
         worker_count=args.threads,
-        shard=args.shard,
         progress=not args.quiet,
     )
     os.makedirs(args.layers_dir, exist_ok=True)
@@ -169,25 +168,23 @@ def cmd_generate(args) -> int:
             layerfile.layer_path(args.layers_dir, d, args.resume_from), d, args.resume_from
         )
 
-    if cfg.shard is not None:
+    # a shard resumes from the entries i mod n of layer K and stops at K + 1
+    if args.shard is not None:
         if start is None:
-            print("error: --shard requires --resume-from", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ValueError("--shard requires --resume-from")
         if args.store_certificates:
-            print(
-                "error: --store-certificates does not apply to --shard "
-                "(merge-shards merges no certificate files)",
-                file=sys.stderr,
+            raise ValueError(
+                "--store-certificates does not apply to --shard "
+                "(merge-shards merges no certificate files)"
             )
-            return EXIT_CONFIG
-        nxt = engine.expand_layer(start, cfg)
-        layerfile.write_layer(
-            layerfile.layer_path(args.layers_dir, d, nxt.k, cfg.shard), nxt
-        )
-        return EXIT_OK
+        if start.k >= cfg.max_layer:
+            raise ValueError(f"cannot shard layer {start.k}: the max layer is {cfg.max_layer}")
+        i, n = args.shard
+        start = engine.LayerRecord(d, start.k, start.entries[i::n])
+        cfg = dataclasses.replace(cfg, max_layer=start.k + 1)
 
     # the summary needs every layer; a resumed run reads those below its start
-    complete = cfg.max_layer == core.halfway_layer(d)
+    complete = args.shard is None and cfg.max_layer == core.halfway_layer(d)
     rows = []
     if complete and start is not None:
         rows = [
@@ -196,7 +193,7 @@ def cmd_generate(args) -> int:
         ]
         rows.append(_summary_row(start))
     for layer in engine.generate(cfg, start):
-        layerfile.write_layer(layerfile.layer_path(args.layers_dir, d, layer.k), layer)
+        layerfile.write_layer(layerfile.layer_path(args.layers_dir, d, layer.k, args.shard), layer)
         if args.store_certificates and layer.k > 0:
             _write_certificates(args.layers_dir, layer)
         rows.append(_summary_row(layer))
@@ -217,8 +214,7 @@ def _summary_row(layer: engine.LayerRecord) -> dict:
 
 
 def _write_certificates(layers_dir: str, layer: engine.LayerRecord) -> None:
-    path = os.path.join(layers_dir, f"layer_d{layer.d}_k{layer.k}.certs")
-    with open(path, "w") as fh:
+    with layerfile.atomic_open(layerfile.certs_path(layers_dir, layer.d, layer.k)) as fh:
         for e in layer.entries:
             point = " ".join(str(x) for x in e.point)
             fh.write(point + " | " + " ".join(str(c) for c in e.certificate) + "\n")
@@ -229,7 +225,7 @@ def cmd_edges(args) -> int:
     layers = _read_all_layers(args.layers_dir, args.d)
     report = analytics.count_edges(layers)
     path = os.path.join(args.layers_dir, f"edges_d{args.d}.csv")
-    with open(path, "w", newline="") as fh:
+    with layerfile.atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "point", "orbit", "deg_below"])
         for layer, degs in zip(layers[1:], report.deg_below):
@@ -244,7 +240,7 @@ def cmd_edges(args) -> int:
 def cmd_degrees(args) -> int:
     layers = _read_all_layers(args.layers_dir, args.d)
     path = os.path.join(args.layers_dir, f"degrees_d{args.d}.csv")
-    with open(path, "w", newline="") as fh:
+    with layerfile.atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "point", "orbit", "deg_below", "deg_above", "deg"])
         for layer, records in zip(layers, analytics.layer_degrees(layers)):

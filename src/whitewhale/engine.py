@@ -21,8 +21,7 @@ Only two consecutive layers are ever held in memory.  A layer step walks
 the parents in the run's own process and keeps one candidate child per
 point; only the oracle calls go to the worker pool, in point order,
 so the output and every count in the progress lines are identical for any
-worker count.  Shards take ``entries[i::n]`` and ``merge_partials`` joins
-their layers.
+worker count.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ class RunConfig:
     d: int
     max_layer: int | None = None          # default: the halfway layer 2^{d-1} - 1
     worker_count: int = 1
-    shard: tuple[int, int] | None = None  # (index, total)
     progress: bool = False
 
     def __post_init__(self):
@@ -67,10 +65,6 @@ class RunConfig:
             raise ValueError(f"max_layer must be in [0, {top}], got {self.max_layer}")
         if self.worker_count < 1:
             raise ValueError("worker_count must be positive")
-        if self.shard is not None:
-            i, n = self.shard
-            if not 0 <= i < n:
-                raise ValueError(f"shard index {i} out of range for total {n}")
 
 
 def layer_zero(d: int) -> LayerRecord:
@@ -79,19 +73,18 @@ def layer_zero(d: int) -> LayerRecord:
 
 
 def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerRecord:
-    """Compute layer k + 1 from a complete layer k, for k below cfg.max_layer.
+    """Compute layer k + 1 from the entries of layer k, for k below cfg.max_layer.
 
-    Candidates: each parent of the shard (all of them unless cfg.shard is
-    set) extended by each g of ``comb.shift_extensions`` that passes
-    ``comb.may_extend``.  A parent is shift-closed, so each child is too,
-    and the point of a shift-closed subset is nondecreasing (the shift
-    injects the members with a 1 at i and a 0 at i + 1 into those with the
-    reverse), so each child is already canonical.  A point reached by two
-    different masks is dropped.  Oracle: one ``lp.vertex_feasible`` call
-    per remaining point, in point order, inline or over the executor's
-    workers, with the certificates of every parent that produced it (in
-    parent order) to push from; parents read from a layer file have none,
-    so their children go straight to the simplex.
+    Candidates: each parent extended by each g of ``comb.shift_extensions``
+    that passes ``comb.may_extend``.  A parent is shift-closed, so each
+    child is too, and the point of a shift-closed subset is nondecreasing
+    (the shift injects the members with a 1 at i and a 0 at i + 1 into
+    those with the reverse), so each child is already canonical.  A point
+    reached by two different masks is dropped.  Oracle: one
+    ``lp.vertex_feasible`` call per remaining point, in point order, inline
+    or over the executor's workers, with the certificates of every parent
+    that produced it (in parent order) to push from; parents read from a
+    layer file have none, so their children go straight to the simplex.
     Output: the feasible children with their certificates and orbit sizes,
     already sorted by point.
 
@@ -106,16 +99,12 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
     if layer.k >= cfg.max_layer:
         raise ValueError(f"cannot expand layer {layer.k}: the max layer is {cfg.max_layer}")
     d = layer.d
-    parents = layer.entries
-    if cfg.shard is not None:
-        i, n = cfg.shard
-        parents = parents[i::n]
     t0 = time.monotonic()
     # point -> (child mask, (certificate, g) of every parent producing that point)
     children: dict[tuple[int, ...], tuple[int, list]] = {}
     ambiguous: set[tuple[int, ...]] = set()  # points reached by two different masks
     candidates = 0
-    for e in parents:
+    for e in layer.entries:
         for g in core.generators_of(comb.shift_extensions(e.subset, d)):
             if comb.may_extend(e.subset, g, d):
                 candidates += 1
@@ -191,8 +180,6 @@ def generate(cfg: RunConfig, start: LayerRecord | None = None):
         if start.k > cfg.max_layer:
             raise ValueError(f"start layer {start.k} is above the max layer {cfg.max_layer}")
         layer = start
-    if cfg.shard is not None and cfg.max_layer - layer.k > 1:
-        raise ValueError("sharded runs expand a single layer; merge before continuing")
     workers = _pool_size(cfg)
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:

@@ -9,6 +9,7 @@ before any resume.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import re
@@ -38,6 +39,24 @@ def layer_path(layers_dir: str, d: int, k: int, shard=None) -> str:
     return os.path.join(layers_dir, layer_filename(d, k, shard))
 
 
+def certs_path(layers_dir: str, d: int, k: int) -> str:
+    return os.path.join(layers_dir, f"layer_d{d}_k{k}.certs")
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, newline: str | None = None):
+    """Write path through path + ".tmp": moved over path at the end, removed on error."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def render(layer: LayerRecord) -> str:
     lines = []
     for e in sorted(layer.entries, key=lambda e: e.point):
@@ -51,10 +70,8 @@ def render(layer: LayerRecord) -> str:
 
 
 def write_layer(path: str, layer: LayerRecord) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(render(layer))
-    os.replace(tmp, path)
 
 
 def read_layer(path: str, expect_d: int, expect_k: int) -> LayerRecord:

@@ -70,7 +70,7 @@ def feasibility(rows) -> FeasibilityResult:
     c = _phase_one(rows, d)
     if c is None:
         return FeasibilityResult(False)
-    if any(_dot(c, r) < 1 for r in rows):
+    if any(sum(n * x for n, x in zip(c, r)) < 1 for r in rows):
         raise AssertionError("internal error: certificate failed exact re-verification")
     return FeasibilityResult(True, c)
 
@@ -89,7 +89,7 @@ def vertex_feasible(S: int, d: int, parents=()) -> FeasibilityResult:
     cone columns e_{i+1} - e_i, which force c to be nondecreasing, and
     keeps only the rows that can bind for such c: the shift-minimal members
     and the shift-maximal non-members (every other row is implied).  Any
-    other S is ``feasibility(signed_rows(S, d))``.  The certificate is
+    other S runs on all of ``signed_rows(S, d)``.  The certificate is
     re-verified on all 2^d - 1 rows in exact integer arithmetic.
     """
     core.check_dimension(d)
@@ -97,9 +97,10 @@ def vertex_feasible(S: int, d: int, parents=()) -> FeasibilityResult:
         pushed = _push(c, g, S, d)
         if pushed is not None:
             return FeasibilityResult(True, pushed, by_simplex=False)
-    if not comb.shift_closed(S, d):
-        return feasibility(signed_rows(S, d))
-    c = _phase_one(_binding_rows(S, d), d, _cone_columns(d))
+    if comb.shift_closed(S, d):
+        c = _phase_one(_binding_rows(S, d), d, _cone_columns(d))
+    else:
+        c = _phase_one(signed_rows(S, d), d)
     if c is None:
         return FeasibilityResult(False)
     if not _separates(c, 1, S, d):
@@ -250,10 +251,6 @@ def _simplest_between(a: int, b: int, c: int, e: int) -> tuple[int, int]:
 def _meeting(g: int, d: int) -> tuple[tuple[int, int], ...]:
     """(h, g.h) for every generator id h with g.h > 0, in id order."""
     return tuple((h, (g & h).bit_count()) for h in range(1, 1 << d) if g & h)
-
-
-def _dot(nums, r) -> int:
-    return sum(n * x for n, x in zip(nums, r))
 
 
 def _phase_one(rows, d, cone=()):

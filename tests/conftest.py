@@ -25,3 +25,32 @@ def generated():
 def brute_force_d4():
     """Every vertex subset at d=4, from the all-rows oracle over all 2^15 subsets."""
     return analytics.white_whale_brute_force(4)
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    def __init__(self, max_workers, opened):
+        self.max_workers, self.mapped, self.chunks = max_workers, 0, []
+        opened.append(self)
+
+    def map(self, fn, *iterables, chunksize=1):
+        args = list(zip(*iterables))
+        self.mapped += len(args)
+        self.chunks.append((len(args), chunksize))
+        return [fn(*a) for a in args]
+
+    def shutdown(self):
+        pass
+
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Replaces the engine's process pool with InlinePool on a 4-CPU host;
+    returns the list of pools opened."""
+    opened = []
+    monkeypatch.setattr(
+        engine, "ProcessPoolExecutor", lambda max_workers: InlinePool(max_workers, opened)
+    )
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    return opened

@@ -168,9 +168,11 @@ def test_criterion_10_determinism_resume_shards(generated):
         ok &= [layerfile.render(l) for l in tail] == rendered[k + 1 :]
     # sharded runs (n=4) at d=5 merge to the unsharded layers
     layers5, _ = generated(5)
+    cfg5 = engine.RunConfig(d=5)
     for k in range(len(layers5) - 1):
+        start = layers5[k]
         parts = [
-            engine.expand_layer(layers5[k], engine.RunConfig(d=5, shard=(i, 4)))
+            engine.expand_layer(engine.LayerRecord(5, k, start.entries[i::4]), cfg5)
             for i in range(4)
         ]
         merged = engine.merge_partials(parts)

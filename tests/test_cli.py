@@ -245,6 +245,33 @@ def test_shard_without_resume_is_config_error(tmp_path):
     )
 
 
+def test_shard_index_out_of_range_is_config_error(tmp_path, capsys):
+    # refused while parsing, before any file is read or written
+    for spec in ("2/2", "0/0", "-1/2"):
+        with pytest.raises(argparse.ArgumentTypeError, match="out of range"):
+            cli._shard(spec)
+        argv = ("--resume-from", 3, f"--shard={spec}", "--quiet")
+        assert run_cli("generate", "-d", 4, "--layers-dir", tmp_path, *argv) == cli.EXIT_CONFIG
+        assert "out of range" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_shard_runs_on_its_threads(tmp_path, inline_pools):
+    # a shard is a resumed run of a slice of its start layer: --threads
+    # opens one pool for its oracle calls, and the part file does not change
+    layers_dir = full_run(tmp_path, 5)
+    part = layers_dir / "layer_d5_k11.part0of2.www"
+    argv = ("generate", "-d", 5, "--layers-dir", layers_dir, "--resume-from", 10, "--quiet")
+    parts = []
+    for threads in (1, 2):
+        assert run_cli(*argv, "--shard", "0/2", "--threads", threads) == 0
+        parts.append(part.read_bytes())
+    (pool,) = inline_pools
+    assert pool.max_workers == 2
+    assert any(n > chunk for n, chunk in pool.chunks)  # split across both workers
+    assert parts[1] == parts[0]
+
+
 def test_shard_refuses_store_certificates(tmp_path, capsys):
     # merge-shards merges no .certs files, so a shard's certificates would be
     # lost: refuse, and write nothing
@@ -351,6 +378,48 @@ def test_summary_write_is_atomic(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.json, "dump", torn_dump)
     assert run_cli("edges", "-d", 3, "--layers-dir", layers_dir) == cli.EXIT_IO
     assert (layers_dir / "summary.json").read_bytes() == before
+    assert not (layers_dir / "summary.json.tmp").exists()
+
+
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, generated):
+    # every output file goes through layerfile.atomic_open: a write that
+    # raises partway leaves neither the target nor its .tmp file
+    layers, _ = generated(4)
+    layer = layers[4]
+    bare = [comb.CanonicalVertex(e.subset, e.point, e.orbit_size) for e in layer.entries]
+    third_uncertified = engine.LayerRecord(4, 4, layer.entries[:2] + tuple(bare[2:]))
+    with pytest.raises(TypeError):
+        cli._write_certificates(str(tmp_path), third_uncertified)
+
+    def failing_render(layer):
+        raise RuntimeError("render failed")
+
+    monkeypatch.setattr(layerfile, "render", failing_render)
+    with pytest.raises(RuntimeError):
+        layerfile.write_layer(layerfile.layer_path(str(tmp_path), 4, 4), layer)
+    assert not list(tmp_path.iterdir())
+
+    monkeypatch.undo()
+    layers_dir = full_run(tmp_path, 3)
+    before = sorted(os.listdir(layers_dir))
+    real_writer = csv.writer
+
+    def writer_failing_on_third_row(fh):
+        writer, rows = real_writer(fh), []
+
+        class Failing:
+            def writerow(self, row):
+                rows.append(row)
+                if len(rows) == 3:
+                    raise OSError("disk full")
+                writer.writerow(row)
+
+        return Failing()
+
+    monkeypatch.setattr(cli.csv, "writer", writer_failing_on_third_row)
+    for command in ("edges", "degrees"):
+        assert run_cli(command, "-d", 3, "--layers-dir", layers_dir) == cli.EXIT_IO
+    assert sorted(os.listdir(layers_dir)) == before
 
 
 def test_corrupt_summary_is_io_error(tmp_path, capsys):

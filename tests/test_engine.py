@@ -62,14 +62,6 @@ def test_config_validation():
         engine.RunConfig(d=3, max_layer=4)
     with pytest.raises(ValueError):
         engine.RunConfig(d=3, worker_count=0)
-    with pytest.raises(ValueError):
-        engine.RunConfig(d=3, shard=(2, 2))
-
-
-def test_shard_needs_single_layer():
-    cfg = engine.RunConfig(d=3, shard=(0, 2))
-    with pytest.raises(ValueError):
-        list(engine.generate(cfg))
 
 
 def test_generate_rejects_wrong_start_dimension():
@@ -129,35 +121,6 @@ def test_worker_count_does_not_change_output(generated):
     assert [layerfile.render(l) for l in parallel] == [
         layerfile.render(l) for l in layers
     ]
-
-
-class InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
-
-    def __init__(self, max_workers, opened):
-        self.max_workers, self.mapped, self.chunks = max_workers, 0, []
-        opened.append(self)
-
-    def map(self, fn, *iterables, chunksize=1):
-        args = list(zip(*iterables))
-        self.mapped += len(args)
-        self.chunks.append((len(args), chunksize))
-        return [fn(*a) for a in args]
-
-    def shutdown(self):
-        pass
-
-
-@pytest.fixture
-def inline_pools(monkeypatch):
-    """Replaces the engine's process pool with InlinePool on a 4-CPU host;
-    returns the list of pools opened."""
-    opened = []
-    monkeypatch.setattr(
-        engine, "ProcessPoolExecutor", lambda max_workers: InlinePool(max_workers, opened)
-    )
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
-    return opened
 
 
 def test_fresh_run_uses_one_capped_pool(monkeypatch, generated, inline_pools):
@@ -249,10 +212,11 @@ def test_point_reached_by_two_masks_gets_no_oracle_call(monkeypatch):
 
 
 def test_shard_union_equals_unsharded(generated):
+    # a shard expands a slice of its start layer
     layers, _ = generated(4)
     start = layers[3]
     parts = [
-        engine.expand_layer(start, engine.RunConfig(d=4, shard=(i, 3)))
+        engine.expand_layer(engine.LayerRecord(4, 3, start.entries[i::3]), engine.RunConfig(d=4))
         for i in range(3)
     ]
     merged = engine.merge_partials(parts)
