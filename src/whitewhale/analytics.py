@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb as binom
 
-from . import comb, core, engine, lp
+from . import comb, core, lp
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,14 @@ def _neighbours_in(p, mask, sign, vectors, points) -> int:
     """How many of the points p + sign * v(g), g in mask, sort into ``points``."""
     count = 0
     for g in core.generators_of(mask):
-        count += tuple(sorted([x + sign * y for x, y in zip(p, vectors[g - 1])])) in points
+        count += tuple(sorted([x + sign * y for x, y in zip(p, vectors[g])])) in points
     return count
 
 
 def layer_degrees(layers) -> list[list[DegreeRecord]]:
     """DegreeRecords for every canonical vertex of complete layers 0..2^{d-1}-1."""
     d, points = _layer_points(layers)
-    vectors = engine.white_whale_vectors(d)
+    vectors = core.generator_vectors(d)
     full = core.full_mask(d)
     out = []
     for layer in layers:
@@ -123,7 +123,7 @@ def count_edges(layers) -> EdgeCountReport:
     an orbit per top-layer vertex for the edges crossing the center.
     """
     d, points = _layer_points(layers)
-    vectors = engine.white_whale_vectors(d)
+    vectors = core.generator_vectors(d)
     per_layer = []
     degrees = []
     for layer in layers[1:]:
@@ -254,4 +254,4 @@ def all_vertices_from_layers(layers) -> set[int]:
 
 
 def white_whale_brute_force(d: int) -> set[int]:
-    return brute_force_vertices(engine.white_whale_vectors(d))
+    return brute_force_vertices(core.generator_vectors(d)[1:])

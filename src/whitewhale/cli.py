@@ -152,12 +152,7 @@ def cmd_generate(args) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    cfg = engine.RunConfig(
-        d=d,
-        max_layer=args.max_layer,
-        worker_count=args.threads,
-        progress=not args.quiet,
-    )
+    cfg = engine.RunConfig(d=d, max_layer=args.max_layer, worker_count=args.threads)
     os.makedirs(args.layers_dir, exist_ok=True)
     summary = _load_summary(args.layers_dir, d)
     t0 = time.monotonic()
@@ -193,6 +188,13 @@ def cmd_generate(args) -> int:
         ]
         rows.append(_summary_row(start))
     for layer in engine.generate(cfg, start):
+        if layer.k > 0 and not args.quiet:
+            print(
+                f"layer {layer.k}: {len(layer.entries)} entries, {layer.candidates} candidates, "
+                f"{layer.lp_calls} LP calls, {layer.by_simplex} by simplex, "
+                f"{layer.seconds:.1f} seconds",
+                file=sys.stderr,
+            )
         layerfile.write_layer(layerfile.layer_path(args.layers_dir, d, layer.k, args.shard), layer)
         if args.store_certificates and layer.k > 0:
             _write_certificates(args.layers_dir, layer)
@@ -315,7 +317,8 @@ def cmd_verify(args) -> int:
                 analytics.family_degree_check(d, k)
             except AssertionError:
                 ok = False
-        check(f"U-family degrees d={d}", ok)
+            ok &= core.point_of(analytics.family_U(d, k), d) == analytics.family_U_point(d, k)
+        check(f"U-family closed-form points and degrees d={d}", ok)
         certs_ok = all(
             lp.verify_certificate(c, S, d)
             for k in range(1, d)
@@ -325,9 +328,10 @@ def cmd_verify(args) -> int:
         w_ok = all(
             lp.vertex_feasible(analytics.family_W(d, k), d).feasible
             and analytics.family_W(d, k).bit_count() == (1 << k) - 1
+            and core.point_of(analytics.family_W(d, k), d) == analytics.family_W_point(d, k)
             for k in range(1, d + 1)
         )
-        check(f"W-family vertices d={d}", w_ok)
+        check(f"W-family vertices and closed-form points d={d}", w_ok)
 
     return EXIT_OK if all(ok for _, ok in checks) else EXIT_VERIFY
 

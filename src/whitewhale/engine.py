@@ -20,7 +20,7 @@ Three levels of machinery:
 Only two consecutive layers are ever held in memory.  A layer step walks
 the parents in the run's own process and keeps one candidate child per
 point; only the oracle calls go to the worker pool, in point order,
-so the output and every count in the progress lines are identical for any
+so the output and every count on the layer records are identical for any
 worker count.
 """
 
@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import comb, core, lp
 
@@ -43,6 +42,11 @@ class LayerRecord:
     d: int
     k: int
     entries: tuple[comb.CanonicalVertex, ...]
+    # the counts of the layer step that made the record; 0 on any other record
+    candidates: int = field(default=0, compare=False)
+    lp_calls: int = field(default=0, compare=False)
+    by_simplex: int = field(default=0, compare=False)
+    seconds: float = field(default=0.0, compare=False)
 
     @property
     def orbit_sum(self) -> int:
@@ -54,7 +58,6 @@ class RunConfig:
     d: int
     max_layer: int | None = None          # default: the halfway layer 2^{d-1} - 1
     worker_count: int = 1
-    progress: bool = False
 
     def __post_init__(self):
         core.check_dimension(self.d)
@@ -86,7 +89,7 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
     that produced it (in parent order) to push from; parents read from a
     layer file have none, so their children go straight to the simplex.
     Output: the feasible children with their certificates and orbit sizes,
-    already sorted by point.
+    already sorted by point, and the step's counts on the layer record.
 
     Soundness: a shift-closed parent needs a generator whose shifts all lie
     in it to stay shift-closed (the shifts of g differ from g), and a
@@ -132,15 +135,9 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
         for p, S, r in zip(points, masks, results)
         if r.feasible
     )
-    nxt = LayerRecord(d, layer.k + 1, entries)
-    if cfg.progress:
-        print(
-            f"layer {nxt.k}: {len(nxt.entries)} entries, {candidates} candidates, "
-            f"{len(masks)} LP calls, {sum(r.by_simplex for r in results)} by simplex, "
-            f"{time.monotonic() - t0:.1f} seconds",
-            file=sys.stderr,
-        )
-    return nxt
+    by_simplex = sum(r.by_simplex for r in results)
+    seconds = time.monotonic() - t0
+    return LayerRecord(d, layer.k + 1, entries, candidates, len(masks), by_simplex, seconds)
 
 
 def merge_partials(parts: list[LayerRecord]) -> LayerRecord:
@@ -199,11 +196,6 @@ def _pool_size(cfg: RunConfig) -> int:
 def run(cfg: RunConfig) -> list[LayerRecord]:
     """All layers of a fresh run, as a list."""
     return list(generate(cfg))
-
-
-def white_whale_vectors(d: int) -> list[tuple[int, ...]]:
-    """The full generator list of the d-dimensional White Whale, ordered by id."""
-    return list(core.generator_vectors(d)[1:])
 
 
 def generate_generic(G, use_symmetry: bool):

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from whitewhale import cli, comb, core, engine, layerfile, tables
+from whitewhale import analytics, cli, comb, core, engine, layerfile, tables
 
 
 def run_cli(*args):
@@ -135,6 +135,9 @@ def test_generate_progress_counts_d5(tmp_path, capsys):
     assert sum(int(c) for c, _, _ in rows) == 198
     assert sum(int(n) for _, n, _ in rows) == 111
     assert sum(int(s) for _, _, s in rows) == 13
+    argv[-1] = tmp_path / "quiet"
+    assert run_cli(*argv, "--quiet") == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_generate_resume(tmp_path):
@@ -482,6 +485,18 @@ def test_verify_checks_edges_at_d6(tmp_path, capsys, generated):
     out = capsys.readouterr().out
     assert "e(6) == 3662064: PASS" in out.splitlines()
     assert "FAIL" not in out
+
+
+def test_verify_families_checks_the_closed_form_points(monkeypatch, capsys):
+    # families mode reads no layer file: it checks the closed forms themselves
+    assert run_cli("verify", "-d", 4, "--mode", "families") == 0
+    for name in ("family_U_point", "family_W_point"):
+        with monkeypatch.context() as m:
+            m.setattr(analytics, name, lambda d, k: (0,) * d)
+            assert run_cli("verify", "-d", 4, "--mode", "families") == cli.EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert out.count("FAIL") == 2
+    assert "U-family closed-form points and degrees d=4: FAIL" in out.splitlines()
 
 
 def test_verify_missing_layers_is_io_error(tmp_path):

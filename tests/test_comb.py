@@ -83,7 +83,7 @@ def test_may_extend_soundness_exhaustive(brute_force_d4):
     vertex_sets = {
         4: brute_force_d4,
         5: analytics.all_vertices_from_layers(
-            engine.generate_generic(engine.white_whale_vectors(5), use_symmetry=True)
+            engine.generate_generic(core.generator_vectors(5)[1:], use_symmetry=True)
         ),
     }
     for d, vertices in vertex_sets.items():
@@ -182,7 +182,7 @@ def test_shift_closure_soundness_exhaustive(brute_force_d4):
         assert comb.shift_closed(cv.subset, 4), S
         checked += 1
     assert checked == 370
-    layers = engine.generate_generic(engine.white_whale_vectors(5), use_symmetry=True)
+    layers = engine.generate_generic(core.generator_vectors(5)[1:], use_symmetry=True)
     for layer in layers:
         for e in layer.entries:
             assert comb.shift_closed(e.subset, 5), e.point

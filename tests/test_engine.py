@@ -1,5 +1,3 @@
-import re
-
 import pytest
 
 from whitewhale import analytics, comb, core, engine, layerfile, lp, tables
@@ -89,7 +87,7 @@ def test_generic_cube():
 
 
 def test_generic_algorithm1_full_layers():
-    layers = engine.generate_generic(engine.white_whale_vectors(3), use_symmetry=False)
+    layers = engine.generate_generic(core.generator_vectors(3)[1:], use_symmetry=False)
     assert [len(l.entries) for l in layers] == [1, 3, 6, 6, 6, 6, 3, 1]
     # cross-check against the subset-exhaustive oracle, grouped by cardinality
     brute = analytics.white_whale_brute_force(3)
@@ -102,7 +100,7 @@ def test_generic_algorithm1_full_layers():
 def test_generic_algorithm2_matches_specialized(generated, d):
     # the LP-only orbitwise scan is the reference for the filtered engine
     layers, _ = generated(d)
-    generic = engine.generate_generic(engine.white_whale_vectors(d), use_symmetry=True)
+    generic = engine.generate_generic(core.generator_vectors(d)[1:], use_symmetry=True)
     assert [rows(l) for l in generic] == [rows(l) for l in layers]
 
 
@@ -141,31 +139,33 @@ def test_fresh_run_uses_one_capped_pool(monkeypatch, generated, inline_pools):
     assert inline_pools == []
 
 
-def test_progress_counts_do_not_depend_on_worker_count(capsys, inline_pools):
+def test_progress_counts_do_not_depend_on_worker_count(inline_pools):
     # one oracle call per sorted point, and the same parent certificates to
     # push from, whatever the pool size
-    lines = []
+    counts = []
     for workers in (1, 2, 3):
-        engine.run(engine.RunConfig(d=5, worker_count=workers, progress=True))
-        lines.append(re.sub(r", [0-9.]+ seconds", "", capsys.readouterr().err))
+        layers = engine.run(engine.RunConfig(d=5, worker_count=workers))
+        counts.append(
+            [(len(l.entries), l.candidates, l.lp_calls, l.by_simplex) for l in layers[1:]]
+        )
     assert len(inline_pools) == 2
-    assert lines[0].count("\n") == lines[0].count(" by simplex") == 15
-    assert lines[1] == lines[0] and lines[2] == lines[0]
+    assert len(counts[0]) == 15
+    assert counts[1] == counts[0] and counts[2] == counts[0]
+    _, candidates, lp_calls, by_simplex = map(sum, zip(*counts[0]))
+    assert (candidates, lp_calls, by_simplex) == (198, 111, 13)
 
 
-def test_uncertified_parents_send_children_to_the_simplex(generated, capsys):
+def test_uncertified_parents_send_children_to_the_simplex(generated):
     # entries read from a layer file carry no certificate: the same layer
     # comes out, with every oracle call answered by the simplex
     layers, _ = generated(5)
-    cfg = engine.RunConfig(d=5, progress=True)
+    cfg = engine.RunConfig(d=5)
     bare = engine.LayerRecord(5, 6, tuple(
         comb.CanonicalVertex(e.subset, e.point, e.orbit_size) for e in layers[6].entries
     ))
-    for parent in (layers[6], bare):
-        assert rows(engine.expand_layer(parent, cfg)) == rows(layers[7])
-    pushed, bare_line = capsys.readouterr().err.splitlines()
-    calls, simplex = map(int, re.search(r"(\d+) LP calls, (\d+) by simplex", bare_line).groups())
-    assert calls == simplex > int(re.search(r"(\d+) by simplex", pushed).group(1))
+    pushed, simplex = (engine.expand_layer(parent, cfg) for parent in (layers[6], bare))
+    assert rows(pushed) == rows(simplex) == rows(layers[7])
+    assert simplex.lp_calls == simplex.by_simplex > pushed.by_simplex
 
 
 def test_one_oracle_call_per_sorted_point_is_sound(brute_force_d4):
