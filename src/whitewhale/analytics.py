@@ -10,6 +10,17 @@ over the layers up to the halfway layer, plus half an orbit per vertex of
 the top layer for the central edges.  ``degree_below`` and
 ``degree_above`` ask the exact feasibility oracle instead; they serve as
 the independent reference and for the closed-form family checks.
+
+Layers are held as sets of multiset codes, not of sorted points: a point
+p in dimension d has the code sum_i 2^(w (p_i + 1)), w = d.bit_length().
+Base 2^w digit v + 1 counts the coordinates equal to v; a count is at
+most d < 2^w, so no digit carries, and two points have equal codes
+exactly when they sort to the same point.  The code of p + s v(g) is the
+code of p plus the digit steps 2^(w (p_i + 1 + s)) - 2^(w (p_i + 1)) of
+the coordinates i of g, so one subset-sum table of the steps per vertex
+(``core.subset_sums``) gives every neighbour's code by one addition.
+The + 1 keeps the step of a zero coordinate, computed for the table but
+never used by a member, free of negative exponents.
 """
 
 from __future__ import annotations
@@ -66,11 +77,17 @@ def degree_above(S: int, d: int) -> int:
     return count
 
 
-def _layer_points(layers) -> tuple[int, list[set[tuple[int, ...]]]]:
-    """d and the canonical point sets of layers 0..2^{d-1}.
+def _code(p) -> int:
+    """The multiset code of a point: equal for two points iff they sort alike."""
+    w = len(p).bit_length()
+    return sum(1 << (w * (x + 1)) for x in p)
 
-    The last set, one past the top layer, is the antipodal image of the
-    top layer.  Raises ValueError unless ``layers`` are the layers
+
+def _layer_points(layers) -> tuple[int, list[set[int]]]:
+    """d and the code sets of the canonical points of layers 0..2^{d-1}.
+
+    The last set, one past the top layer, codes the antipodal image of
+    the top layer.  Raises ValueError unless ``layers`` are the layers
     0..2^{d-1}-1 of one d, in order.
     """
     if not layers:
@@ -80,35 +97,37 @@ def _layer_points(layers) -> tuple[int, list[set[tuple[int, ...]]]]:
     got = [(layer.d, layer.k) for layer in layers]
     if got != [(d, k) for k in range(top + 1)]:
         raise ValueError(f"need complete layers 0..{top} of d={d} in order, got {got}")
-    points = [{e.point for e in layer.entries} for layer in layers]
+    codes = [{_code(e.point) for e in layer.entries} for layer in layers]
     corner = 1 << (d - 1)
-    points.append({tuple(sorted(corner - x for x in p)) for p in points[top]})
-    return d, points
+    codes.append({_code([corner - x for x in e.point]) for e in layers[top].entries})
+    return d, codes
 
 
-def _neighbours_in(p, mask, sign, vectors, points) -> int:
-    """How many of the points p + sign * v(g), g in mask, sort into ``points``."""
+def _neighbours_in(p, mask, sign, d, codes) -> int:
+    """How many of the points p + sign * v(g), g in mask, have their code in ``codes``."""
+    w = d.bit_length()
+    steps = core.subset_sums([(1 << (w * (x + 1 + sign))) - (1 << (w * (x + 1))) for x in p])
+    code = _code(p)
     count = 0
     for g in core.generators_of(mask):
-        count += tuple(sorted([x + sign * y for x, y in zip(p, vectors[g])])) in points
+        count += code + steps[g] in codes
     return count
 
 
 def layer_degrees(layers) -> list[list[DegreeRecord]]:
     """DegreeRecords for every canonical vertex of complete layers 0..2^{d-1}-1."""
-    d, points = _layer_points(layers)
-    vectors = core.generator_vectors(d)
+    d, codes = _layer_points(layers)
     full = core.full_mask(d)
     out = []
     for layer in layers:
-        below = points[layer.k - 1] if layer.k else set()
-        above = points[layer.k + 1]
+        below = codes[layer.k - 1] if layer.k else set()
+        above = codes[layer.k + 1]
         out.append(
             [
                 DegreeRecord(
                     e,
-                    _neighbours_in(e.point, e.subset, -1, vectors, below),
-                    _neighbours_in(e.point, full & ~e.subset, 1, vectors, above),
+                    _neighbours_in(e.point, e.subset, -1, d, below),
+                    _neighbours_in(e.point, full & ~e.subset, 1, d, above),
                 )
                 for e in layer.entries
             ]
@@ -122,13 +141,12 @@ def count_edges(layers) -> EdgeCountReport:
     e(d) = sum over k of the orbit-weighted degrees from below, plus half
     an orbit per top-layer vertex for the edges crossing the center.
     """
-    d, points = _layer_points(layers)
-    vectors = core.generator_vectors(d)
+    d, codes = _layer_points(layers)
     per_layer = []
     degrees = []
     for layer in layers[1:]:
-        below = points[layer.k - 1]
-        degs = tuple(_neighbours_in(e.point, e.subset, -1, vectors, below) for e in layer.entries)
+        below = codes[layer.k - 1]
+        degs = tuple(_neighbours_in(e.point, e.subset, -1, d, below) for e in layer.entries)
         per_layer.append((layer.k, sum(e.orbit_size * deg for e, deg in zip(layer.entries, degs))))
         degrees.append(degs)
     middle = 0

@@ -84,6 +84,18 @@ def point_of(mask: int, d: int) -> tuple[int, ...]:
     return tuple(map(sum, zip(vectors[0], *[vectors[g] for g in generators_of(mask)])))
 
 
+def subset_sums(nums) -> list[int]:
+    """sums[g] = nums . (vector of g) for every generator id g (sums[0] = 0).
+
+    The last coordinate is the lowest bit, so each coordinate, taken from
+    the last, doubles the table: ids with its bit set add it to the id
+    without."""
+    sums = [0]
+    for x in reversed(nums):
+        sums += [y + x for y in sums]
+    return sums
+
+
 def point_increment(p, g: int, d: int) -> tuple[int, ...]:
     """The point of S + {g} given the point of S, for g not in S."""
     return tuple(map(add, p, generator_vectors(d)[g]))

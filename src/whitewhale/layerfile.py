@@ -10,6 +10,7 @@ before any resume.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import os
 import re
@@ -57,10 +58,20 @@ def atomic_open(path: str, newline: str | None = None):
         raise
 
 
+@functools.lru_cache(maxsize=None)
+def _byte_ids(position: int, b: int) -> str:
+    """The generator ids, as text, of the bits set in byte value b at byte
+    ``position`` of a subset mask (bit j of the mask is generator j + 1)."""
+    return " ".join(str(8 * position + j + 1) for j in range(8) if b >> j & 1)
+
+
 def render(layer: LayerRecord) -> str:
+    size = (core.generator_count(layer.d) + 7) // 8
     lines = []
     for e in sorted(layer.entries, key=lambda e: e.point):
-        ids = " ".join(str(g) for g in core.generators_of(e.subset))
+        ids = " ".join(
+            [_byte_ids(i, b) for i, b in enumerate(e.subset.to_bytes(size, "little")) if b]
+        )
         point = " ".join(str(x) for x in e.point)
         lines.append(f"{ids} | {point}" if ids else f"| {point}")
     body = "".join(line + "\n" for line in lines)
@@ -95,21 +106,24 @@ def read_layer(path: str, expect_d: int, expect_k: int) -> LayerRecord:
     lines = body.splitlines()
     if len(lines) != n:
         raise LayerFileError(f"layer file {path} announces {n} entries, holds {len(lines)}")
+    vectors = core.generator_vectors(d)
     prev = ()
     for line in lines:
         left, _, right = line.partition("|")
         try:
-            ids = [int(x) for x in left.split()]
-            point = tuple(int(x) for x in right.split())
+            ids = list(map(int, left.split()))
+            point = tuple(map(int, right.split()))
             subset = core.mask_of(ids)
         except ValueError:
             raise LayerFileError(f"malformed entry in layer file {path}: {line!r}") from None
         if len(point) != d:
             raise LayerFileError(f"entry of wrong dimension in layer file {path}: {line!r}")
+        # count, range and distinctness first: only then index the vector table
         if (
-            subset.bit_count() != k
+            len(ids) != k
+            or subset.bit_count() != k
             or subset >> core.generator_count(d)
-            or core.point_of(subset, d) != point
+            or tuple(map(sum, zip(vectors[0], *[vectors[g] for g in ids]))) != point
         ):
             raise LayerFileError(f"inconsistent entry in layer file {path}: {line!r}")
         # canonical points are nondecreasing, and render writes them sorted and distinct

@@ -171,22 +171,10 @@ def verify_certificate(c, S: int, d: int) -> bool:
     return _separates([x.numerator * (den // x.denominator) for x in c], den, S, d)
 
 
-def _subset_sums(nums) -> list[int]:
-    """dot[g] = nums . (vector of g) for every generator id g (dot[0] = 0).
-
-    The last coordinate is the lowest bit, so each coordinate, taken from
-    the last, doubles the table: ids with its bit set add it to the id
-    without."""
-    dot = [0]
-    for x in reversed(nums):
-        dot += [y + x for y in dot]
-    return dot
-
-
 def _separates(nums, den, S: int, d: int) -> bool:
     """c = nums / den (den > 0) has c.g >= 1 on S and c.g <= -1 outside S,
     over all 2^d - 1 generators, in integers."""
-    dot = _subset_sums(nums)
+    dot = core.subset_sums(nums)
     for g in range(1, 1 << d):
         if (S >> (g - 1)) & 1:
             if dot[g] < den:
@@ -204,21 +192,25 @@ def _push(nums, g: int, S: int, d: int) -> tuple[int, ...] | None:
     g.h >= 0, so only the rows with g.h > 0 move with tau.  Row g bounds
     tau from below: tau > -c_P.g / |g| > 0.  Every other member h of S lies
     in P, so c_P.h >= 1, and any tau > 0 keeps its row positive.  The
-    non-members meeting g bound tau from above.  In the open interval this
-    leaves, if it is non-empty and bounded, tau = p / q is the simplest
+    non-members meeting g bound tau from above, and the scan stops at the
+    first one that empties the interval.  In the open interval this leaves,
+    if it is non-empty and bounded, tau = p / q is the simplest
     rational (``_simplest_between``), and c = (q * c_P + p * g) / gcd is an
     integer vector whose margins are non-zero integers of the right sign.
     It is returned if it passes the all-rows check ``_separates``, which
     fails only when c_P does not certify P.
     """
-    dot = _subset_sums(nums)
+    dot = core.subset_sums(nums)
     # tau in (lo_n / lo_d, hi_n / hi_d), denominators positive; hi_d = 0
     # means no non-member bounds it from above
     lo_n, lo_d, hi_n, hi_d = -dot[g], g.bit_count(), 1, 0
     for h, b in _meeting(g, d):
         if not (S >> (h - 1)) & 1 and -dot[h] * hi_d < hi_n * b:
             hi_n, hi_d = -dot[h], b
-    if not hi_d or lo_n * hi_d >= hi_n * lo_d:
+            # hi only falls, so an empty interval stays empty
+            if lo_n * hi_d >= hi_n * lo_d:
+                return None
+    if not hi_d:
         return None
     p, q = _simplest_between(lo_n, lo_d, hi_n, hi_d)
     c = [q * n + p * v for n, v in zip(nums, core.generator_vectors(d)[g])]

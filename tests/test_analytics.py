@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from whitewhale import analytics, core, engine, lp, tables
@@ -88,6 +90,39 @@ def test_layer_degrees_match_lp_degrees(generated):
                 assert r.canonical == e
                 want = (analytics.degree_below(e.subset, d), analytics.degree_above(e.subset, d))
                 assert (r.deg_below, r.deg_above) == want, (d, layer.k, e.point)
+
+
+def test_neighbour_codes_match_sorted_neighbours(generated):
+    # every neighbour p -+ v(g) of every canonical vertex, the antipodal image
+    # of the top layer included: the code from the step table is the code of
+    # the sorted neighbour
+    for d in (3, 4, 5):
+        layers, _ = generated(d)
+        full = core.full_mask(d)
+        vectors = core.generator_vectors(d)
+        vertices = [(e.subset, e.point) for layer in layers for e in layer.entries]
+        corner = 1 << (d - 1)
+        vertices += [
+            (full ^ e.subset, tuple(corner - x for x in e.point)) for e in layers[-1].entries
+        ]
+        for S, p in vertices:
+            assert core.point_of(S, d) == p
+            for g in range(1, 1 << d):
+                sign = -1 if (S >> (g - 1)) & 1 else 1
+                q = sorted(x + sign * y for x, y in zip(p, vectors[g]))
+                one = {analytics._code(q)}
+                assert analytics._neighbours_in(p, 1 << (g - 1), sign, d, one) == 1, (d, p, g)
+
+
+def test_code_is_injective(generated):
+    # over the sorted points of all layers at d <= 6, and over every sorted
+    # point with coordinates in [0, 2^{d-1}] at d <= 5
+    for d in (3, 4, 5, 6):
+        layers, _ = generated(d)
+        points = {e.point for layer in layers for e in layer.entries}
+        if d <= 5:
+            points |= set(itertools.combinations_with_replacement(range((1 << (d - 1)) + 1), d))
+        assert len({analytics._code(p) for p in points}) == len(points)
 
 
 def test_family_U_examples():

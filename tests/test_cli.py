@@ -72,6 +72,7 @@ def test_layer_file_rejects_forged_entries(tmp_path):
         (["1 5 | 0 1 0 2"], "non-canonical"),      # a permuted point
         (["1 3 | 0 0 1 2"] * 2, "non-canonical"),  # a duplicated line
         (["1 1 | 0 0 0 1"], "inconsistent"),       # a repeated id
+        (["1 1 3 | 0 0 1 2"], "inconsistent"),     # a repeated id, the mask's point
         (["3 17 | 0 0 1 2"], "inconsistent"),      # an id past 2^4 - 1
         (["0 3 | 0 0 1 1"], "malformed"),          # id 0
         (["a 3 | 0 0 1 2"], "malformed"),          # not a number

@@ -138,7 +138,7 @@ def _push_interval_all_rows(nums, g, S, d):
     """The tau interval (lo, hi) of the line nums + tau * g, from every row
     meeting g, members and non-members alike; None when it is empty or
     unbounded."""
-    dot = lp._subset_sums(nums)
+    dot = core.subset_sums(nums)
     lo, hi = None, None
     for h, b in lp._meeting(g, d):
         bound = Fraction(-dot[h], b)
