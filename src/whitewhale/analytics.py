@@ -1,26 +1,28 @@
 """Degrees, edge counts, vertex families, and brute-force oracles.
 
-Degrees come from layer membership: a neighbour p(S) -+ v(g) of a vertex
-is a vertex exactly when its sorted point is in the adjacent layer, and
-the layer above the top layer is the antipodal image of the top layer.
-Permutation invariance makes one canonical representative per orbit
-enough; orbit expansion multiplies by the orbit size.  The total edge
-count follows the halved summation: orbit-weighted degrees from below
-over the layers up to the halfway layer, plus half an orbit per vertex of
-the top layer for the central edges.  ``degree_below`` and
-``degree_above`` ask the exact feasibility oracle instead; they serve as
-the independent reference and for the closed-form family checks.
+Degrees come from layer membership: a neighbour p(S) - v(g), g in S, of a
+vertex is a vertex exactly when its sorted point is in the layer below.
+Each edge is looked up once, from its upper end: ``layer_degrees`` walks
+the lower neighbours of every canonical vertex q of layers 1..2^{d-1}-1
+and of the antipodal image of the top layer (the layer above it).  A hit
+is a degree from below of q and adds orbit(q) to the tally of the point p
+it hit; counted from both ends, orbit(p) deg_above(p) = sum_q orbit(q)
+#{g in S_q : q - v(g) sorts to p}, so deg_above(p) = tally(p) / orbit(p).
+An orbit size counts the antipodal copies and each edge has two ends, so
+e(d) = 1/2 sum orbit * degree.  ``degree_below`` and ``degree_above`` ask
+the exact feasibility oracle instead; they are the independent reference
+and serve the closed-form family checks.
 
-Layers are held as sets of multiset codes, not of sorted points: a point
-p in dimension d has the code sum_i 2^(w (p_i + 1)), w = d.bit_length().
-Base 2^w digit v + 1 counts the coordinates equal to v; a count is at
-most d < 2^w, so no digit carries, and two points have equal codes
-exactly when they sort to the same point.  The code of p + s v(g) is the
-code of p plus the digit steps 2^(w (p_i + 1 + s)) - 2^(w (p_i + 1)) of
-the coordinates i of g, so one subset-sum table of the steps per vertex
-(``core.subset_sums``) gives every neighbour's code by one addition.
-The + 1 keeps the step of a zero coordinate, computed for the table but
-never used by a member, free of negative exponents.
+Layers are tallied by multiset codes, not by sorted points: a point p in
+dimension d has the code sum_i 2^(w (p_i + 1)), w = d.bit_length().  Base
+2^w digit v + 1 counts the coordinates equal to v; a count is at most
+d < 2^w, so no digit carries, and two points have equal codes exactly
+when they sort to the same point.  The code of p - v(g) is the code of p
+plus the digit steps 2^(w p_i) - 2^(w (p_i + 1)) of the coordinates i of
+g, so one subset-sum table of the steps per vertex (``core.subset_sums``)
+gives every lower neighbour's code by one addition.  The + 1 keeps the
+step of a zero coordinate, computed for the table but never used by a
+member, free of negative exponents.
 """
 
 from __future__ import annotations
@@ -40,15 +42,6 @@ class DegreeRecord:
     @property
     def degree(self) -> int:
         return self.deg_below + self.deg_above
-
-
-@dataclass(frozen=True)
-class EdgeCountReport:
-    d: int
-    per_layer: tuple[tuple[int, int], ...]  # (k, sum of orbit_size * deg_below)
-    middle_term: int                        # sum of orbit_size / 2 over the top layer
-    e_total: int
-    deg_below: tuple[tuple[int, ...], ...]  # per layer k = 1.., in entry order
 
 
 def degree_below(S: int, d: int) -> int:
@@ -83,12 +76,26 @@ def _code(p) -> int:
     return sum(1 << (w * (x + 1)) for x in p)
 
 
-def _layer_points(layers) -> tuple[int, list[set[int]]]:
-    """d and the code sets of the canonical points of layers 0..2^{d-1}.
+def _count_lower(p, mask, orbit, d, tally) -> int:
+    """How many of the points p - v(g), g in mask, have their code in ``tally``;
+    adds ``orbit`` to the tally of each code hit."""
+    w = d.bit_length()
+    steps = core.subset_sums([(1 << (w * x)) - (1 << (w * (x + 1))) for x in p])
+    code = _code(p)
+    hits = 0
+    for g in core.generators_of(mask):
+        c = code + steps[g]
+        if c in tally:
+            tally[c] += orbit
+            hits += 1
+    return hits
 
-    The last set, one past the top layer, codes the antipodal image of
-    the top layer.  Raises ValueError unless ``layers`` are the layers
-    0..2^{d-1}-1 of one d, in order.
+
+def layer_degrees(layers) -> list[list[DegreeRecord]]:
+    """DegreeRecords for every canonical vertex of complete layers 0..2^{d-1}-1.
+
+    Raises ValueError unless ``layers`` are the layers 0..2^{d-1}-1 of one
+    d, in order, and AssertionError if a tally does not divide by its orbit size.
     """
     if not layers:
         raise ValueError("no layers")
@@ -97,66 +104,41 @@ def _layer_points(layers) -> tuple[int, list[set[int]]]:
     got = [(layer.d, layer.k) for layer in layers]
     if got != [(d, k) for k in range(top + 1)]:
         raise ValueError(f"need complete layers 0..{top} of d={d} in order, got {got}")
-    codes = [{_code(e.point) for e in layer.entries} for layer in layers]
-    corner = 1 << (d - 1)
-    codes.append({_code([corner - x for x in e.point]) for e in layers[top].entries})
-    return d, codes
-
-
-def _neighbours_in(p, mask, sign, d, codes) -> int:
-    """How many of the points p + sign * v(g), g in mask, have their code in ``codes``."""
-    w = d.bit_length()
-    steps = core.subset_sums([(1 << (w * (x + 1 + sign))) - (1 << (w * (x + 1))) for x in p])
-    code = _code(p)
-    count = 0
-    for g in core.generators_of(mask):
-        count += code + steps[g] in codes
-    return count
-
-
-def layer_degrees(layers) -> list[list[DegreeRecord]]:
-    """DegreeRecords for every canonical vertex of complete layers 0..2^{d-1}-1."""
-    d, codes = _layer_points(layers)
-    full = core.full_mask(d)
-    out = []
-    for layer in layers:
-        below = codes[layer.k - 1] if layer.k else set()
-        above = codes[layer.k + 1]
-        out.append(
-            [
-                DegreeRecord(
-                    e,
-                    _neighbours_in(e.point, e.subset, -1, d, below),
-                    _neighbours_in(e.point, full & ~e.subset, 1, d, above),
-                )
-                for e in layer.entries
-            ]
+    # per layer, a tally of 0 per entry keyed by its code, in entry order
+    tallies = [dict.fromkeys([_code(e.point) for e in layer.entries], 0) for layer in layers]
+    degs_below = [[0] * len(layers[0].entries)]
+    for layer in layers[1:]:
+        tally = tallies[layer.k - 1]
+        degs_below.append(
+            [_count_lower(e.point, e.subset, e.orbit_size, d, tally) for e in layer.entries]
         )
+    corner = 1 << (d - 1)
+    for e in layers[-1].entries:
+        mirror = tuple(corner - x for x in e.point)
+        _count_lower(mirror, core.antipode(e.subset, d), e.orbit_size, d, tallies[-1])
+    out = []
+    for layer, degs, tally in zip(layers, degs_below, tallies):
+        records = []
+        for e, below, total in zip(layer.entries, degs, tally.values()):
+            above, rest = divmod(total, e.orbit_size)
+            if rest:
+                raise AssertionError(
+                    f"tally {total} of {e.point} does not divide by its orbit size {e.orbit_size}"
+                )
+            records.append(DegreeRecord(e, below, above))
+        out.append(records)
     return out
 
 
-def count_edges(layers) -> EdgeCountReport:
-    """Total edge count from complete layers 0..2^{d-1}-1.
+def count_edges(records) -> int:
+    """e(d) = 1/2 sum of orbit size * degree over the DegreeRecords of layers 0..2^{d-1}-1.
 
-    e(d) = sum over k of the orbit-weighted degrees from below, plus half
-    an orbit per top-layer vertex for the edges crossing the center.
+    Raises AssertionError if the sum is odd.
     """
-    d, codes = _layer_points(layers)
-    per_layer = []
-    degrees = []
-    for layer in layers[1:]:
-        below = codes[layer.k - 1]
-        degs = tuple(_neighbours_in(e.point, e.subset, -1, d, below) for e in layer.entries)
-        per_layer.append((layer.k, sum(e.orbit_size * deg for e, deg in zip(layer.entries, degs))))
-        degrees.append(degs)
-    middle = 0
-    for e in layers[-1].entries:
-        if e.orbit_size % 2:
-            raise AssertionError(f"odd orbit size {e.orbit_size} in the top layer")
-        middle += e.orbit_size // 2
-    return EdgeCountReport(
-        d, tuple(per_layer), middle, sum(t for _, t in per_layer) + middle, tuple(degrees)
-    )
+    total = sum(r.canonical.orbit_size * r.degree for layer in records for r in layer)
+    if total % 2:
+        raise AssertionError(f"odd orbit-weighted degree sum {total}")
+    return total // 2
 
 
 def family_U(d: int, k: int) -> int:

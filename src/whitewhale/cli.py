@@ -136,10 +136,10 @@ def _write_summary(layers_dir: str, summary: dict) -> None:
         fh.write("\n")
 
 
-def _read_all_layers(layers_dir: str, d: int) -> list[engine.LayerRecord]:
+def _read_all_layers(layers_dir: str, d: int, stop: int) -> list[engine.LayerRecord]:
+    """Layers 0..stop-1 of dimension d, read from their files."""
     return [
-        layerfile.read_layer(layerfile.layer_path(layers_dir, d, k), d, k)
-        for k in range(core.halfway_layer(d) + 1)
+        layerfile.read_layer(layerfile.layer_path(layers_dir, d, k), d, k) for k in range(stop)
     ]
 
 
@@ -182,10 +182,7 @@ def cmd_generate(args) -> int:
     complete = args.shard is None and cfg.max_layer == core.halfway_layer(d)
     rows = []
     if complete and start is not None:
-        rows = [
-            _summary_row(layerfile.read_layer(layerfile.layer_path(args.layers_dir, d, k), d, k))
-            for k in range(start.k)
-        ]
+        rows = [_summary_row(layer) for layer in _read_all_layers(args.layers_dir, d, start.k)]
         rows.append(_summary_row(start))
     for layer in engine.generate(cfg, start):
         if layer.k > 0 and not args.quiet:
@@ -224,32 +221,35 @@ def _write_certificates(layers_dir: str, layer: engine.LayerRecord) -> None:
 
 def cmd_edges(args) -> int:
     summary = _load_summary(args.layers_dir, args.d)
-    layers = _read_all_layers(args.layers_dir, args.d)
-    report = analytics.count_edges(layers)
+    layers = _read_all_layers(args.layers_dir, args.d, core.halfway_layer(args.d) + 1)
+    records = analytics.layer_degrees(layers)
+    e_total = analytics.count_edges(records)
     path = os.path.join(args.layers_dir, f"edges_d{args.d}.csv")
     with layerfile.atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "point", "orbit", "deg_below"])
-        for layer, degs in zip(layers[1:], report.deg_below):
-            for e, deg in zip(layer.entries, degs):
-                writer.writerow([layer.k, " ".join(str(x) for x in e.point), e.orbit_size, deg])
-    summary["e"] = report.e_total
+        for k, layer in enumerate(records[1:], start=1):
+            for r in layer:
+                e = r.canonical
+                writer.writerow([k, " ".join(str(x) for x in e.point), e.orbit_size, r.deg_below])
+    summary["e"] = e_total
     _write_summary(args.layers_dir, summary)
-    print(f"e({args.d}) = {report.e_total}")
+    print(f"e({args.d}) = {e_total}")
     return EXIT_OK
 
 
 def cmd_degrees(args) -> int:
-    layers = _read_all_layers(args.layers_dir, args.d)
     path = os.path.join(args.layers_dir, f"degrees_d{args.d}.csv")
+    layers = _read_all_layers(args.layers_dir, args.d, core.halfway_layer(args.d) + 1)
+    records = analytics.layer_degrees(layers)
     with layerfile.atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "point", "orbit", "deg_below", "deg_above", "deg"])
-        for layer, records in zip(layers, analytics.layer_degrees(layers)):
-            for r in records:
+        for k, layer in enumerate(records):
+            for r in layer:
                 writer.writerow(
                     [
-                        layer.k,
+                        k,
                         " ".join(str(x) for x in r.canonical.point),
                         r.canonical.orbit_size,
                         r.deg_below,
@@ -278,13 +278,14 @@ def cmd_verify(args) -> int:
 
     layers = None
     if modes & {"tables", "bruteforce"}:
-        layers = _read_all_layers(args.layers_dir, d)
+        layers = _read_all_layers(args.layers_dir, d, core.halfway_layer(d) + 1)
 
     if "tables" in modes:
         a = sum(l.orbit_sum for l in layers)
         o = sum(len(l.entries) for l in layers)
         check(f"a({d}) == {tables.A_VALUES[d]}", a == tables.A_VALUES[d])
         check(f"o({d}) == {tables.O_VALUES[d]}", o == tables.O_VALUES[d])
+        records = analytics.layer_degrees(layers)
         if d in (3, 4):
             rows = tables.D3_ROWS if d == 3 else tables.D4_ROWS
             got = [
@@ -294,15 +295,11 @@ def cmd_verify(args) -> int:
             ]
             want = [(k, ids, p, orb) for k, ids, p, orb, _, _ in rows]
             check(f"layer table d={d} row-for-row", got == want)
-            degs = [
-                (r.deg_below, r.deg_above)
-                for recs in analytics.layer_degrees(layers)
-                for r in recs
-            ]
+            degs = [(r.deg_below, r.deg_above) for recs in records for r in recs]
             want_degs = [(db, da) for *_, db, da in rows]
             check(f"degree table d={d} row-for-row", degs == want_degs)
         if d in tables.E_VALUES:
-            e_total = analytics.count_edges(layers).e_total
+            e_total = analytics.count_edges(records)
             check(f"e({d}) == {tables.E_VALUES[d]}", e_total == tables.E_VALUES[d])
 
     if "bruteforce" in modes:
@@ -347,6 +344,13 @@ def cmd_merge_shards(args) -> int:
     ]
     merged = engine.merge_partials(partials)
     layerfile.write_layer(layerfile.layer_path(args.layers_dir, args.d, args.k), merged)
+    # a point reached from parents in two slices was decided in each shard
+    found = sum(len(p.entries) for p in partials)
+    print(
+        f"layer {args.k}: {len(merged.entries)} entries merged from {found} shard entries, "
+        f"{found - len(merged.entries)} repeats dropped",
+        file=sys.stderr,
+    )
     return EXIT_OK
 
 

@@ -78,10 +78,15 @@ def generator_vectors(d: int) -> tuple[tuple[int, ...], ...]:
     return ((0,) * d,) + tuple(vector_of(g, d) for g in range(1, 1 << d))
 
 
+@lru_cache(maxsize=None)
+def _columns(d: int) -> tuple[int, ...]:
+    """columns[i]: the mask of the generators with a 1 at coordinate i + 1."""
+    return tuple(mask_of(g for g in range(1, 1 << d) if g >> (d - 1 - i) & 1) for i in range(d))
+
+
 def point_of(mask: int, d: int) -> tuple[int, ...]:
-    """Coordinatewise sum of the generators in the mask; the origin for the empty mask."""
-    vectors = generator_vectors(d)
-    return tuple(map(sum, zip(vectors[0], *[vectors[g] for g in generators_of(mask)])))
+    """Coordinatewise sum of the generators in the mask: one popcount per column."""
+    return tuple((mask & column).bit_count() for column in _columns(d))
 
 
 def subset_sums(nums) -> list[int]:

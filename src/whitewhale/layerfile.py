@@ -106,7 +106,6 @@ def read_layer(path: str, expect_d: int, expect_k: int) -> LayerRecord:
     lines = body.splitlines()
     if len(lines) != n:
         raise LayerFileError(f"layer file {path} announces {n} entries, holds {len(lines)}")
-    vectors = core.generator_vectors(d)
     prev = ()
     for line in lines:
         left, _, right = line.partition("|")
@@ -118,12 +117,11 @@ def read_layer(path: str, expect_d: int, expect_k: int) -> LayerRecord:
             raise LayerFileError(f"malformed entry in layer file {path}: {line!r}") from None
         if len(point) != d:
             raise LayerFileError(f"entry of wrong dimension in layer file {path}: {line!r}")
-        # count, range and distinctness first: only then index the vector table
         if (
             len(ids) != k
             or subset.bit_count() != k
             or subset >> core.generator_count(d)
-            or tuple(map(sum, zip(vectors[0], *[vectors[g] for g in ids]))) != point
+            or core.point_of(subset, d) != point
         ):
             raise LayerFileError(f"inconsistent entry in layer file {path}: {line!r}")
         # canonical points are nondecreasing, and render writes them sorted and distinct

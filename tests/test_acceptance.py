@@ -53,12 +53,14 @@ def test_criterion_04_edge_counts(generated):
     ok = True
     for d in range(3, 7):
         layers, _ = generated(d)
-        report_d = analytics.count_edges(layers)
-        ok &= report_d.e_total == E[d]
+        records = analytics.layer_degrees(layers)
+        ok &= analytics.count_edges(records) == E[d]
         if d == 3:
             per_layer, middle = tables.D3_EDGE_DECOMPOSITION
-            ok &= [t for _, t in report_d.per_layer] == per_layer
-            ok &= report_d.middle_term == middle
+            ok &= [
+                sum(r.canonical.orbit_size * r.deg_below for r in recs) for recs in records[1:]
+            ] == per_layer
+            ok &= sum(r.canonical.orbit_size * r.deg_above for r in records[-1]) == 2 * middle
         if d == 4:
             got = [
                 analytics.degree_below(e.subset, 4)
@@ -137,7 +139,7 @@ def test_criterion_09_structural_invariants(generated):
     for d in range(3, 7):
         layers, _ = generated(d)
         a = sum(l.orbit_sum for l in layers)
-        e = analytics.count_edges(layers).e_total
+        e = analytics.count_edges(analytics.layer_degrees(layers))
         ok &= a % (2 * (d + 1)) == 0
         ok &= e % (d * (d + 1)) == 0
         hi = 1 << (d - 1)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from whitewhale import analytics, core, engine, lp, tables
+from whitewhale import analytics, comb, core, engine, lp, tables
 
 
 def test_degree_below_examples():
@@ -48,35 +48,51 @@ def test_degree_table_d4(generated):
 
 
 def test_count_edges_d3_decomposition(generated):
+    # the edges from below per layer, then the central edges from the top layer up
     layers, _ = generated(3)
-    report = analytics.count_edges(layers)
+    records = analytics.layer_degrees(layers)
     per_layer, middle = tables.D3_EDGE_DECOMPOSITION
-    assert [t for _, t in report.per_layer] == per_layer
-    assert report.middle_term == middle
-    assert report.e_total == 48
+    below = [sum(r.canonical.orbit_size * r.deg_below for r in recs) for recs in records[1:]]
+    assert below == per_layer
+    assert sum(r.canonical.orbit_size * r.deg_above for r in records[-1]) == 2 * middle
+    assert analytics.count_edges(records) == sum(per_layer) + middle == 48
 
 
 def test_count_edges_d4(generated):
     layers, _ = generated(4)
-    assert analytics.count_edges(layers).e_total == 760
+    assert analytics.count_edges(analytics.layer_degrees(layers)) == 760
 
 
-def test_count_edges_carries_degrees_below(generated):
+def test_count_edges_halves_the_orbit_weighted_degree_sum(generated):
     layers, _ = generated(4)
-    report = analytics.count_edges(layers)
-    assert len(report.deg_below) == len(layers) - 1
-    for layer, degs, (k, total) in zip(layers[1:], report.deg_below, report.per_layer):
-        assert k == layer.k
-        assert list(degs) == [analytics.degree_below(e.subset, 4) for e in layer.entries]
-        assert total == sum(e.orbit_size * deg for e, deg in zip(layer.entries, degs))
+    records = analytics.layer_degrees(layers)
+    for layer, recs in zip(layers, records):
+        assert [r.deg_below for r in recs] == [
+            analytics.degree_below(e.subset, 4) for e in layer.entries
+        ]
+    total = sum(r.canonical.orbit_size * r.degree for recs in records for r in recs)
+    assert analytics.count_edges(records) * 2 == total == 1520
+
+
+def test_degree_checks_are_exact():
+    # a tally that does not divide by its orbit size, and an odd degree sum
+    origin = comb.CanonicalVertex(0, (0, 0, 0), 4)
+    unit = comb.CanonicalVertex(1, (0, 0, 1), 6)
+    with pytest.raises(AssertionError, match="does not divide"):
+        analytics.layer_degrees(
+            [engine.LayerRecord(3, 0, (origin,)), engine.LayerRecord(3, 1, (unit,))]
+            + [engine.LayerRecord(3, k, ()) for k in (2, 3)]
+        )
+    odd = analytics.DegreeRecord(comb.CanonicalVertex(0, (0, 0, 0), 1), 0, 3)
+    with pytest.raises(AssertionError, match="odd"):
+        analytics.count_edges([[odd]])
 
 
 def test_count_edges_needs_complete_layers(generated):
     layers, _ = generated(3)
-    for fn in (analytics.count_edges, analytics.layer_degrees):
-        for bad in (layers[:-1], layers[1:], layers[::-1], []):
-            with pytest.raises(ValueError):
-                fn(bad)
+    for bad in (layers[:-1], layers[1:], layers[::-1], []):
+        with pytest.raises(ValueError):
+            analytics.count_edges(analytics.layer_degrees(bad))
 
 
 def test_layer_degrees_match_lp_degrees(generated):
@@ -92,10 +108,10 @@ def test_layer_degrees_match_lp_degrees(generated):
                 assert (r.deg_below, r.deg_above) == want, (d, layer.k, e.point)
 
 
-def test_neighbour_codes_match_sorted_neighbours(generated):
-    # every neighbour p -+ v(g) of every canonical vertex, the antipodal image
-    # of the top layer included: the code from the step table is the code of
-    # the sorted neighbour
+def test_lower_neighbour_codes_match_sorted_neighbours(generated):
+    # every lower neighbour p - v(g), g in S, of every canonical vertex and of
+    # every vertex of the antipodal image of the top layer: the code from the
+    # step table is the code of the sorted neighbour, and a hit adds the orbit
     for d in (3, 4, 5):
         layers, _ = generated(d)
         full = core.full_mask(d)
@@ -107,11 +123,11 @@ def test_neighbour_codes_match_sorted_neighbours(generated):
         ]
         for S, p in vertices:
             assert core.point_of(S, d) == p
-            for g in range(1, 1 << d):
-                sign = -1 if (S >> (g - 1)) & 1 else 1
-                q = sorted(x + sign * y for x, y in zip(p, vectors[g]))
-                one = {analytics._code(q)}
-                assert analytics._neighbours_in(p, 1 << (g - 1), sign, d, one) == 1, (d, p, g)
+            for g in core.generators_of(S):
+                code = analytics._code(sorted(x - y for x, y in zip(p, vectors[g])))
+                tally = {code: 0}
+                assert analytics._count_lower(p, 1 << (g - 1), 2, d, tally) == 1, (d, p, g)
+                assert tally == {code: 2}
 
 
 def test_code_is_injective(generated):
@@ -212,5 +228,5 @@ def test_divisibility_invariants(generated):
         layers, _ = generated(d)
         a = sum(l.orbit_sum for l in layers)
         assert a % (2 * (d + 1)) == 0
-        e = analytics.count_edges(layers).e_total
+        e = analytics.count_edges(analytics.layer_degrees(layers))
         assert e % (d * (d + 1)) == 0

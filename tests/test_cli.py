@@ -308,6 +308,23 @@ def test_shard_and_merge_cli(tmp_path):
     assert (layers_dir / "layer_d4_k4.www").read_bytes() == reference
 
 
+def test_merge_shards_reports_the_repeats(tmp_path, capsys):
+    # a point reached from parents in both slices of layer 10 is decided in each shard
+    layers_dir = full_run(tmp_path, 5)
+    reference = (layers_dir / "layer_d5_k11.www").read_bytes()
+    os.remove(layers_dir / "layer_d5_k11.www")
+    for i in range(2):
+        argv = ("--resume-from", 10, "--shard", f"{i}/2", "--quiet")
+        assert run_cli("generate", "-d", 5, "--layers-dir", layers_dir, *argv) == 0
+    capsys.readouterr()
+    argv = ("-d", 5, "-k", 11, "--total", 2, "--layers-dir", layers_dir)
+    assert run_cli("merge-shards", *argv) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "layer 11: 12 entries merged from 19 shard entries, 7 repeats dropped"
+    ]
+    assert (layers_dir / "layer_d5_k11.www").read_bytes() == reference
+
+
 def test_merge_shards_conflict_is_internal_error(tmp_path):
     # {1, 6} and {2, 5} both sum to (1, 1, 1) at d=3
     for i, ids in enumerate(([1, 6], [2, 5])):

@@ -30,6 +30,11 @@ def test_point_of_examples():
     assert core.point_of(0, 3) == (0, 0, 0)
     assert core.point_of(core.mask_of([1, 3, 5]), 3) == (1, 1, 3)
     assert core.point_of(core.mask_of([1, 3, 5, 9]), 4) == (1, 1, 1, 4)
+    # the column popcounts are the coordinatewise sums of the member vectors
+    for d in (2, 3, 4):
+        for S in range(1 << core.generator_count(d)):
+            vectors = [core.vector_of(g, d) for g in core.generators_of(S)]
+            assert core.point_of(S, d) == tuple(map(sum, zip((0,) * d, *vectors)))
 
 
 def test_point_increment_examples():
