@@ -76,12 +76,11 @@ def _code(p) -> int:
     return sum(1 << (w * (x + 1)) for x in p)
 
 
-def _count_lower(p, mask, orbit, d, tally) -> int:
+def _count_lower(p, code, mask, orbit, d, tally) -> int:
     """How many of the points p - v(g), g in mask, have their code in ``tally``;
-    adds ``orbit`` to the tally of each code hit."""
+    adds ``orbit`` to the tally of each code hit.  ``code`` is ``_code(p)``."""
     w = d.bit_length()
     steps = core.subset_sums([(1 << (w * x)) - (1 << (w * (x + 1))) for x in p])
-    code = _code(p)
     hits = 0
     for g in core.generators_of(mask):
         c = code + steps[g]
@@ -105,17 +104,20 @@ def layer_degrees(layers) -> list[list[DegreeRecord]]:
     if got != [(d, k) for k in range(top + 1)]:
         raise ValueError(f"need complete layers 0..{top} of d={d} in order, got {got}")
     # per layer, a tally of 0 per entry keyed by its code, in entry order
+    # (codes are distinct, so the keys run in step with the entries)
     tallies = [dict.fromkeys([_code(e.point) for e in layer.entries], 0) for layer in layers]
     degs_below = [[0] * len(layers[0].entries)]
     for layer in layers[1:]:
         tally = tallies[layer.k - 1]
-        degs_below.append(
-            [_count_lower(e.point, e.subset, e.orbit_size, d, tally) for e in layer.entries]
-        )
+        degs_below.append([
+            _count_lower(e.point, code, e.subset, e.orbit_size, d, tally)
+            for e, code in zip(layer.entries, tallies[layer.k])
+        ])
     corner = 1 << (d - 1)
     for e in layers[-1].entries:
         mirror = tuple(corner - x for x in e.point)
-        _count_lower(mirror, core.antipode(e.subset, d), e.orbit_size, d, tallies[-1])
+        antipode = core.antipode(e.subset, d)
+        _count_lower(mirror, _code(mirror), antipode, e.orbit_size, d, tallies[-1])
     out = []
     for layer, degs, tally in zip(layers, degs_below, tallies):
         records = []

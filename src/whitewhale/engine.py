@@ -87,7 +87,8 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
     ``lp.vertex_feasible`` call per remaining point, in point order, inline
     or over the executor's workers, with the certificates of every parent
     that produced it (in parent order) to push from; parents read from a
-    layer file have none, so their children go straight to the simplex.
+    layer file have none, so their children try only the push from their
+    own point before the simplex.
     Output: the feasible children with their certificates and orbit sizes,
     already sorted by point, and the step's counts on the layer record.
 

@@ -126,7 +126,8 @@ def test_lower_neighbour_codes_match_sorted_neighbours(generated):
             for g in core.generators_of(S):
                 code = analytics._code(sorted(x - y for x, y in zip(p, vectors[g])))
                 tally = {code: 0}
-                assert analytics._count_lower(p, 1 << (g - 1), 2, d, tally) == 1, (d, p, g)
+                hits = analytics._count_lower(p, analytics._code(p), 1 << (g - 1), 2, d, tally)
+                assert hits == 1, (d, p, g)
                 assert tally == {code: 2}
 
 

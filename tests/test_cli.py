@@ -125,8 +125,8 @@ def test_generate_is_deterministic(tmp_path):
 def test_generate_progress_counts_d5(tmp_path, capsys):
     # candidates: the children within comb.shift_extensions that pass
     # comb.may_extend, all 111 points
-    # among them vertices; LP calls, and the LP calls that no pushed parent
-    # certificate answered
+    # among them vertices; LP calls, and the LP calls that no push, from a
+    # parent certificate or from the child's own point, answered
     argv = ["generate", "-d", 5, "--threads", 1, "--layers-dir", tmp_path / "layers"]
     assert run_cli(*argv) == 0
     rows = re.findall(
@@ -135,7 +135,7 @@ def test_generate_progress_counts_d5(tmp_path, capsys):
     assert len(rows) == 15
     assert sum(int(c) for c, _, _ in rows) == 198
     assert sum(int(n) for _, n, _ in rows) == 111
-    assert sum(int(s) for _, _, s in rows) == 13
+    assert sum(int(s) for _, _, s in rows) == 1
     argv[-1] = tmp_path / "quiet"
     assert run_cli(*argv, "--quiet") == 0
     assert capsys.readouterr().err == ""

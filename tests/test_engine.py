@@ -152,20 +152,22 @@ def test_progress_counts_do_not_depend_on_worker_count(inline_pools):
     assert len(counts[0]) == 15
     assert counts[1] == counts[0] and counts[2] == counts[0]
     _, candidates, lp_calls, by_simplex = map(sum, zip(*counts[0]))
-    assert (candidates, lp_calls, by_simplex) == (198, 111, 13)
+    assert (candidates, lp_calls, by_simplex) == (198, 111, 1)
 
 
 def test_uncertified_parents_send_children_to_the_simplex(generated):
     # entries read from a layer file carry no certificate: the same layer
-    # comes out, with every oracle call answered by the simplex
+    # comes out, with every oracle call that the child's own point does not
+    # answer going to the simplex (d=5, layer 13 to 14: 12 LP calls, 2 of them
+    # by simplex, against 0 from certified parents)
     layers, _ = generated(5)
     cfg = engine.RunConfig(d=5)
-    bare = engine.LayerRecord(5, 6, tuple(
-        comb.CanonicalVertex(e.subset, e.point, e.orbit_size) for e in layers[6].entries
+    bare = engine.LayerRecord(5, 13, tuple(
+        comb.CanonicalVertex(e.subset, e.point, e.orbit_size) for e in layers[13].entries
     ))
-    pushed, simplex = (engine.expand_layer(parent, cfg) for parent in (layers[6], bare))
-    assert rows(pushed) == rows(simplex) == rows(layers[7])
-    assert simplex.lp_calls == simplex.by_simplex > pushed.by_simplex
+    pushed, simplex = (engine.expand_layer(parent, cfg) for parent in (layers[13], bare))
+    assert rows(pushed) == rows(simplex) == rows(layers[14])
+    assert simplex.lp_calls > simplex.by_simplex > pushed.by_simplex
 
 
 def test_one_oracle_call_per_sorted_point_is_sound(brute_force_d4):

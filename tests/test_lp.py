@@ -197,7 +197,8 @@ def test_simplest_between_exhaustive():
 
 def test_pushed_verdicts_match_plain_lp_d5(monkeypatch):
     # every oracle call of a d=5 run against lp.feasibility on all rows;
-    # all but 13 calls are answered by a push, not by the simplex
+    # all but 1 call are answered by a push from a parent certificate or
+    # from the child's own point, not by the simplex
     calls = []
     oracle = lp.vertex_feasible
 
@@ -215,7 +216,7 @@ def test_pushed_verdicts_match_plain_lp_d5(monkeypatch):
             assert lp.verify_certificate(r.certificate, S, 5)
             # pushed and simplex certificates alike are integers
             assert all(type(x) is int for x in r.certificate), S
-    assert sum(r.by_simplex for _, r in calls) == 13
+    assert sum(r.by_simplex for _, r in calls) == 1
 
 
 def test_pushed_certificate_is_integer_and_pushes_again():
@@ -235,16 +236,64 @@ def test_pushed_certificate_is_integer_and_pushes_again():
 
 
 def test_vertex_feasible_tries_every_parent_then_the_simplex():
-    d = 3
-    S = core.mask_of([1, 3, 5])  # U3^2, point (1,1,3)
-    P = core.mask_of([1, 3])
+    # a d=5 vertex whose point push fails (at d <= 4 none does), point
+    # (1,5,5,8,9); the push from parent P = S - {6} along 6 succeeds
+    d = 5
+    S = core.mask_of([1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 15, 19])
+    P = S & ~(1 << (6 - 1))
+    assert lp._point_push(S, d) is None
     c = lp.vertex_feasible(P, d).certificate
     ones = (1,) * d  # certifies the whole generator set, not P
-    r = lp.vertex_feasible(S, d, [(ones, 5), (c, 5)])
+    r = lp.vertex_feasible(S, d, [(ones, 6), (c, 6)])
     assert r.feasible and not r.by_simplex
     assert lp.verify_certificate(r.certificate, S, d)
-    r = lp.vertex_feasible(S, d, [(ones, 5)])
+    r = lp.vertex_feasible(S, d, [(ones, 6)])
     assert r.feasible and r.by_simplex
+    assert lp.verify_certificate(r.certificate, S, d)
     # a push never decides a non-vertex: {1, 2} is none
+    d = 3
     r = lp.vertex_feasible(core.mask_of([1, 2]), d, [(lp.vertex_feasible(1, d).certificate, 2)])
     assert not r.feasible and r.by_simplex
+
+
+def _point_interval_is_open(S, d):
+    """Whether some lam puts every row on its side of the line
+    p(S) - lam * (1, ..., 1): lam < p.g / |g| for g in S, lam > p.h / |h|
+    for h outside S."""
+    p = core.point_of(S, d)
+    lo, hi = [], []
+    for h, v in enumerate(core.generator_vectors(d)[1:], 1):
+        bound = Fraction(sum(x * y for x, y in zip(p, v)), sum(v))
+        (hi if (S >> (h - 1)) & 1 else lo).append(bound)
+    return not lo or not hi or max(lo) < min(hi)
+
+
+def test_point_push_only_certifies_vertices_exhaustive(generated):
+    # every subset at d <= 4, and every shift-closed child that expand_layer
+    # builds at d = 5: a certificate comes back exactly when the lam interval
+    # over all rows is open, only for a vertex of the all-rows oracle, and it
+    # separates on all rows
+    def check(S, d):
+        c = lp._point_push(S, d)
+        assert (c is not None) == _point_interval_is_open(S, d), (d, S)
+        if c is None:
+            return 0
+        assert lp.feasibility(lp.signed_rows(S, d)).feasible, (d, S)
+        assert lp.verify_certificate(c, S, d), (d, S)
+        return 1
+
+    # at d <= 4 the point of every vertex certifies it
+    for d, vertices in ((2, 6), (3, 32), (4, 370)):
+        assert sum(check(S, d) for S in range(1 << core.generator_count(d))) == vertices
+    d = 5
+    layers, _ = generated(d)
+    children = {
+        e.subset | (1 << (g - 1))
+        for layer in layers[:-1]
+        for e in layer.entries
+        for g in core.generators_of(comb.shift_extensions(e.subset, d))
+        if comb.may_extend(e.subset, g, d)
+    }
+    assert len(children) == 111
+    # all 111 children are vertices; the point push misses 7 of them
+    assert sum(check(S, d) for S in children) == 104
