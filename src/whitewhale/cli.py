@@ -8,14 +8,14 @@ Exit codes: 0 success, 1 failed verification, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
 import sys
 import time
 
-from . import analytics, core, engine, layerfile, lp, tables
+# csv and tables are imported by the commands that use them, so generate loads neither
+from . import analytics, core, engine, layerfile, lp
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("merge-shards", help="union sharded partial layer files")
-    p.add_argument("-d", type=int, required=True)
+    p.add_argument("-d", type=_dimension, required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--total", type=int, required=True)
     p.add_argument("--layers-dir", default="layers")
@@ -93,8 +93,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _common(p):
-    p.add_argument("-d", type=int, required=True, help="dimension")
+    p.add_argument("-d", type=_dimension, required=True, help="dimension")
     p.add_argument("--layers-dir", default="layers")
+
+
+def _dimension(text: str) -> int:
+    try:
+        d = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    try:
+        return core.check_dimension(d)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _shard(text: str):
@@ -220,6 +231,8 @@ def _write_certificates(layers_dir: str, layer: engine.LayerRecord) -> None:
 
 
 def cmd_edges(args) -> int:
+    import csv
+
     summary = _load_summary(args.layers_dir, args.d)
     layers = _read_all_layers(args.layers_dir, args.d, core.halfway_layer(args.d) + 1)
     records = analytics.layer_degrees(layers)
@@ -239,6 +252,8 @@ def cmd_edges(args) -> int:
 
 
 def cmd_degrees(args) -> int:
+    import csv
+
     path = os.path.join(args.layers_dir, f"degrees_d{args.d}.csv")
     layers = _read_all_layers(args.layers_dir, args.d, core.halfway_layer(args.d) + 1)
     records = analytics.layer_degrees(layers)
@@ -262,6 +277,8 @@ def cmd_degrees(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import tables
+
     d = args.d
     checks: list[tuple[str, bool]] = []
 

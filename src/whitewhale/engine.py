@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import comb, core, lp
@@ -179,7 +178,12 @@ def generate(cfg: RunConfig, start: LayerRecord | None = None):
             raise ValueError(f"start layer {start.k} is above the max layer {cfg.max_layer}")
         layer = start
     workers = _pool_size(cfg)
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    executor = None
+    if workers > 1:
+        # imported here: it loads multiprocessing, which a one-worker run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(max_workers=workers)
     try:
         while layer.k < cfg.max_layer:
             layer = expand_layer(layer, cfg, executor)

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import comb, core
@@ -173,6 +172,8 @@ def verify_certificate(c, S: int, d: int) -> bool:
 
     c may be rational (anything ``Fraction`` takes); it is checked as
     nums / den with den the least common denominator."""
+    from fractions import Fraction  # imported here: the oracle itself runs on integers
+
     c = [Fraction(x) for x in c]
     if len(c) != d:
         raise ValueError(f"certificate has {len(c)} coordinates, expected {d}")

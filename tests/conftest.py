@@ -1,3 +1,4 @@
+import concurrent.futures
 import time
 
 import pytest
@@ -46,11 +47,13 @@ class InlinePool:
 
 @pytest.fixture
 def inline_pools(monkeypatch):
-    """Replaces the engine's process pool with InlinePool on a 4-CPU host;
-    returns the list of pools opened."""
+    """Replaces the process pool the engine imports with InlinePool on a
+    4-CPU host; returns the list of pools opened."""
     opened = []
     monkeypatch.setattr(
-        engine, "ProcessPoolExecutor", lambda max_workers: InlinePool(max_workers, opened)
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        lambda max_workers: InlinePool(max_workers, opened),
     )
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
     return opened

@@ -4,6 +4,9 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,8 +233,26 @@ def test_summary_for_another_dimension_is_refused(tmp_path, capsys):
     assert not list(layers_dir.glob("layer_d4_*"))
 
 
-def test_generate_rejects_bad_dimension(tmp_path):
+def test_generate_rejects_bad_dimension(tmp_path, capsys):
     assert run_cli("generate", "-d", 1, "--layers-dir", tmp_path, "--quiet") == cli.EXIT_CONFIG
+    assert "dimension must be in [2, 16]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("edges", "-d", 1),
+        ("degrees", "-d", 0),
+        ("verify", "-d", 17, "--mode", "tables"),
+        ("merge-shards", "-d", 1, "-k", 0, "--total", 1),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_bad_dimension_is_refused_while_parsing(tmp_path, capsys, argv):
+    layers_dir = tmp_path / "layers"
+    assert run_cli(*argv, "--layers-dir", layers_dir) == cli.EXIT_CONFIG
+    assert "dimension must be in [2, 16]" in capsys.readouterr().err
+    assert not layers_dir.exists()
 
 
 def test_generate_gates_large_dimensions(tmp_path):
@@ -362,6 +383,38 @@ def test_resume_past_max_layer_is_config_error(tmp_path):
     assert {p.name: p.read_bytes() for p in layers_dir.iterdir()} == before
 
 
+# Loaded only by the commands or the worker count that need them.
+DEFERRED_MODULES = {
+    "concurrent.futures", "multiprocessing", "fractions", "decimal", "csv", "whitewhale.tables"
+}
+# Every module perfbench/spans.py patches, which it finds as attributes of the package.
+TRACED_MODULES = {
+    f"whitewhale.{m}" for m in ("cli", "engine", "lp", "comb", "core", "analytics", "layerfile")
+}
+
+
+def test_one_worker_generate_loads_no_deferred_module(tmp_path):
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import whitewhale.cli\n"
+        "rc = whitewhale.cli.main(['generate', '-d', '4', '--quiet', '--layers-dir', sys.argv[1]])\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+        "sys.exit(rc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "layers")],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert sorted(loaded & DEFERRED_MODULES) == []
+    assert sorted(TRACED_MODULES - loaded) == []
+
+
 def _subcommands():
     parser = cli.build_parser()
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
@@ -437,7 +490,7 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, generated):
 
         return Failing()
 
-    monkeypatch.setattr(cli.csv, "writer", writer_failing_on_third_row)
+    monkeypatch.setattr(csv, "writer", writer_failing_on_third_row)
     for command in ("edges", "degrees"):
         assert run_cli(command, "-d", 3, "--layers-dir", layers_dir) == cli.EXIT_IO
     assert sorted(os.listdir(layers_dir)) == before
