@@ -21,21 +21,32 @@ addition for c.b >= 0.
 ``vertex_feasible`` uses them to look only for nondecreasing c on
 canonical subsets, which needs far fewer rows.
 
+Every row check runs on all 2^d - 1 rows at once, with no row loop.  For
+a lane width of k bytes, lane h - 1 of a big integer stands for
+generator h, and d cached column constants give the lanes of c.h for
+every h as one sum sum_i c_i * col_i (``_lanes``).  Adding 2^(8k - 1) - t
+to every lane sets its top bit exactly when c.h >= t, and the top bytes
+become a string of b"0" and b"1" compared with the string of S
+(``_signs``, ``_members``).  k is chosen from sum|c_i| + |t|, so no lane
+overflows and every comparison is exact.  The all-rows check
+``_separates`` is two such comparisons.
+
 Before the simplex, ``vertex_feasible`` tries a push: given the
 certificate c_P of a parent vertex P and the generator g with
 S = P + {g}, it searches the line c_P + tau * g for a certificate of S.
-One subset-sum pass bounds tau (row g from below, the non-members
-meeting g from above), the simplest rational in that interval gives an
-integer c, and c gets the same exact all-rows check as a simplex
-certificate, so a push can only confirm a vertex.  When every parent
-push fails, or there is no parent certificate (a layer read from a
-file), a point push searches the line p(S) - lam * (1, ..., 1) through
-the point of S itself, its first-order Chow parameters, in the same
-way: one subset-sum pass bounds lam, the simplest rational gives an
-integer c, and c gets the all-rows check.  Only a subset whose pushes
-all fail goes to the simplex: 47 of the 1,511 calls of a d = 6 run.
-Every certificate, pushed or from the simplex, is an integer vector, so
-the next push starts from it as it is.
+Row g bounds tau from below by lo, the non-members meeting g bound it
+from above; one sign string at tau = lo says whether the interval is
+empty, and the least-denominator tau = p / q in it, which the search
+reaches by q = 2 |g|, gives an integer c, checked on
+all rows like a simplex certificate, so a push can only confirm a
+vertex.  When every parent push fails, or there is no parent certificate
+(a layer read from a file), a point push searches the line
+p(S) - lam * (1, ..., 1) through the point of S itself, its first-order
+Chow parameters: one subset-sum pass bounds lam, the simplest rational
+gives an integer c, and c gets the all-rows check.  Only a subset whose
+pushes all fail goes to the simplex: 47 of the 1,511 calls of a d = 6
+run.  Every certificate, pushed or from the simplex, is an integer
+vector, so the next push starts from it as it is.
 """
 
 from __future__ import annotations
@@ -43,6 +54,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import mul
 
 from . import comb, core
 
@@ -183,15 +196,15 @@ def verify_certificate(c, S: int, d: int) -> bool:
 
 def _separates(nums, den, S: int, d: int) -> bool:
     """c = nums / den (den > 0) has c.g >= 1 on S and c.g <= -1 outside S,
-    over all 2^d - 1 generators, in integers."""
-    dot = core.subset_sums(nums)
-    for g in range(1, 1 << d):
-        if (S >> (g - 1)) & 1:
-            if dot[g] < den:
-                return False
-        elif dot[g] > -den:
-            return False
-    return True
+    over all 2^d - 1 generators, in integers.
+
+    That holds exactly when S is both the set of rows with nums.g >= den
+    and the set with nums.g >= 1 - den, i.e. nums.g > -den: two sign
+    strings of the lanes of nums (``_lanes``)."""
+    k = _lane_width(sum(map(abs, nums)) + den)
+    x = sum(map(mul, nums, _lanes(d, k)[0]))
+    want = _members(S, d)
+    return _signs(x, den, k, d) == want and _signs(x, 1 - den, k, d) == want
 
 
 def _push(nums, g: int, S: int, d: int) -> tuple[int, ...] | None:
@@ -200,29 +213,45 @@ def _push(nums, g: int, S: int, d: int) -> tuple[int, ...] | None:
     c_P = nums, an integer vector, certifies a vertex P and S = P + {g}.
     Row h asks for c_P.h + tau * g.h > 0 if h is in S and < 0 if not, and
     g.h >= 0, so only the rows with g.h > 0 move with tau.  Row g bounds
-    tau from below: tau > -c_P.g / |g| > 0.  Every other member h of S lies
-    in P, so c_P.h >= 1, and any tau > 0 keeps its row positive.  The
-    non-members meeting g bound tau from above, and the scan stops at the
-    first one that empties the interval.  In the open interval this leaves,
-    if it is non-empty and bounded, ``_on_line`` takes the simplest
-    rational tau = p / q, and c = (q * c_P + p * g) / gcd is an integer
-    vector whose margins are non-zero integers of the right sign.  It is
-    returned if it passes the all-rows check ``_separates``, which fails
-    only when c_P does not certify P.
+    tau from below: tau > lo = a / b with a = -c_P.g >= 1 and b = |g|.
+    Every other member h of S lies in P, so c_P.h >= 1, and any tau > 0
+    keeps its row positive.  The non-members meeting g bound tau from
+    above, by hi.  So the interval (lo, hi) is non-empty exactly when every
+    row has its sign at tau = lo, row g at 0 counted as positive: one sign
+    string of the lanes of b * c_P + a * g against the string of S, with
+    no row scan.  If it matches, tau = p / q runs through q = 1, 2, ...
+    with p = floor(q * lo) + 1, the least p / q above lo, and the first
+    q * c_P + p * g with every row on its side is the least-denominator
+    rational in the interval, the one ``_simplest_between`` would give.
+    The mediant of lo and the binding hi = -c_P.h / g.h lies in the
+    interval, with denominator b + g.h <= 2 b, so the search ends by
+    q = 2 b (at q = 1 if no non-member meets g).  That vector gets the
+    margin check (every row at least 1 away from 0, which with a valid c_P
+    always holds) and is divided by its gcd.  Every test is exact on all
+    2^d - 1 rows, so whatever c_P is, a returned vector certifies S.
+
+    Lanes are k bytes wide with b (4 sum|c_P| + 1) + 1 < 2^(8k - 1).  That
+    bounds |row - t| for every vector tested here, since t is 0 or 1,
+    |a| <= sum|c_P|, g.h <= b, q <= 2 b and |p| <= 2 |a| + 1.
     """
-    dot = core.subset_sums(nums)
-    # tau in (lo_n / lo_d, hi_n / hi_d), denominators positive; hi_d = 0
-    # means no non-member bounds it from above
-    lo_n, lo_d, hi_n, hi_d = -dot[g], g.bit_count(), 1, 0
-    for h, b in _meeting(g, d):
-        if not (S >> (h - 1)) & 1 and -dot[h] * hi_d < hi_n * b:
-            hi_n, hi_d = -dot[h], b
-            # hi only falls, so an empty interval stays empty
-            if lo_n * hi_d >= hi_n * lo_d:
-                return None
-    if not hi_d:
+    v = core.generator_vectors(d)[g]
+    a, b = -sum(map(mul, nums, v)), g.bit_count()
+    k = _lane_width(b * (4 * sum(map(abs, nums)) + 1) + 1)
+    cols = _lanes(d, k)[0]
+    lanes_c, lanes_g = sum(map(mul, nums, cols)), sum(compress(cols, v))
+    want = _members(S, d)
+    if _signs(b * lanes_c + a * lanes_g, 0, k, d) != want:
         return None
-    return _on_line(nums, core.generator_vectors(d)[g], (lo_n, lo_d, hi_n, hi_d), S, d)
+    for q in range(1, 2 * b + 1):
+        p = q * a // b + 1
+        lanes = q * lanes_c + p * lanes_g
+        if _signs(lanes, 0, k, d) == want:
+            if _signs(lanes, 1, k, d) != want:
+                return None
+            c = [q * n + p * s for n, s in zip(nums, v)]
+            e = math.gcd(*c)
+            return tuple(x // e for x in c)
+    return None
 
 
 def _point_push(S: int, d: int) -> tuple[int, ...] | None:
@@ -232,17 +261,17 @@ def _point_push(S: int, d: int) -> tuple[int, ...] | None:
     is in S and < 0 if not, so every member bounds lam from above and every
     non-member from below; p >= 0 makes every lower end at least 0, which
     is where the interval starts, and the scan stops at the first row that
-    empties it.  Then ``_on_line`` takes the simplest rational lam = r / q
-    in the interval, builds the integer c = (q * p - r * (1, ..., 1)) / gcd
-    and runs the all-rows check.  No parent certificate is needed.
+    empties it.  Then the simplest rational lam = r / q in the interval
+    (``_simplest_between``) gives the integer c = (q * p - r * (1, ..., 1))
+    / gcd, returned if it passes the all-rows check ``_separates``.  No
+    parent certificate is needed.
     """
     p = core.point_of(S, d)
     dot = core.subset_sums(p)
     # lam in (lo_n / lo_d, hi_n / hi_d), denominators positive; hi_d = 0
     # means no member bounds it from above
     lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 0
-    # the all-ones generator meets every h, in |h| coordinates
-    for h, b in _meeting(core.generator_count(d), d):
+    for h, b in _sizes(d):
         if (S >> (h - 1)) & 1:
             if dot[h] * hi_d >= hi_n * b:
                 continue
@@ -253,18 +282,10 @@ def _point_push(S: int, d: int) -> tuple[int, ...] | None:
             continue
         if lo_n * hi_d >= hi_n * lo_d:
             return None
-    return _on_line(p, (-1,) * d, (lo_n, lo_d, hi_n, hi_d), S, d)
-
-
-def _on_line(base, step, interval, S: int, d: int) -> tuple[int, ...] | None:
-    """The integer vector q * base + p * step, divided by its gcd, for the
-    simplest p / q in the non-empty open interval (lo_n / lo_d, hi_n / hi_d)
-    (``_simplest_between``), if it passes the all-rows check ``_separates``;
-    else None."""
-    p, q = _simplest_between(*interval)
-    c = [q * b + p * s for b, s in zip(base, step)]
-    k = math.gcd(*c)
-    c = tuple(x // k for x in c)
+    r, q = _simplest_between(lo_n, lo_d, hi_n, hi_d)
+    c = [q * x - r for x in p]
+    e = math.gcd(*c)
+    c = tuple(x // e for x in c)
     return c if _separates(c, 1, S, d) else None
 
 
@@ -289,9 +310,56 @@ def _simplest_between(a: int, b: int, c: int, e: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _meeting(g: int, d: int) -> tuple[tuple[int, int], ...]:
-    """(h, g.h) for every generator id h with g.h > 0, in id order."""
-    return tuple((h, (g & h).bit_count()) for h in range(1, 1 << d) if g & h)
+def _sizes(d: int) -> tuple[tuple[int, int], ...]:
+    """(h, |h|) for every generator id h, in id order."""
+    return tuple((h, h.bit_count()) for h in range(1, 1 << d))
+
+
+def _lane_width(bound: int) -> int:
+    """The least lane width k, in bytes, with bound < 2^(8k - 1)."""
+    return bound.bit_length() // 8 + 1
+
+
+@lru_cache(maxsize=None)
+def _lanes(d: int, k: int) -> tuple[tuple[int, ...], int]:
+    """The column constants and the all-ones constant, in lanes of k bytes.
+
+    Lane h - 1 (bits 8k(h - 1) up to 8kh) stands for generator h.  Column
+    i holds coordinate i of each generator in its lane, so for an integer
+    vector c, sum(map(mul, c, cols)) holds every dot product c.h at once,
+    as the signed integer sum_h c.h * 2^(8k(h - 1)); ``ones`` holds 1 in
+    every lane.
+    """
+    one, zero = (1).to_bytes(k, "little"), bytes(k)
+    gens = range(1, 1 << d)
+    cols = tuple(
+        int.from_bytes(b"".join(one if (h >> i) & 1 else zero for h in gens), "little")
+        for i in reversed(range(d))
+    )
+    return cols, int.from_bytes(one * len(gens), "little")
+
+
+# byte -> b"1" if its top bit is set, else b"0"
+_TOP_BIT = b"0" * 128 + b"1" * 128
+
+
+def _signs(x: int, t: int, k: int, d: int) -> bytes:
+    """The string whose byte h - 1 is b"1" if lane h - 1 of x, the lane of
+    generator h, holds at least t, else b"0".
+
+    Adding 2^(8k - 1) - t to every lane puts each lane in [0, 2^(8k)) when
+    |x_h - t| < 2^(8k - 1), with its top bit set exactly when x_h >= t;
+    then no lane borrows from or carries into the next, and the top byte
+    of each lane is every k-th byte of the sum.
+    """
+    ones = _lanes(d, k)[1]
+    top = (x + ((1 << (8 * k - 1)) - t) * ones).to_bytes(k * ((1 << d) - 1), "little")
+    return top[k - 1 :: k].translate(_TOP_BIT)
+
+
+def _members(S: int, d: int) -> bytes:
+    """The string whose byte h - 1 is b"1" if generator h is in S, else b"0"."""
+    return f"{S:0{(1 << d) - 1}b}"[::-1].encode()
 
 
 def _phase_one(rows, d, cone=()):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -134,19 +135,24 @@ def test_feasibility_general_rows():
     assert lp.feasibility([(1, -1)]).feasible
 
 
+def _meeting(g, d):
+    """(h, g.h) for every generator id h with g.h > 0, in id order."""
+    return [(h, (g & h).bit_count()) for h in range(1, 1 << d) if g & h]
+
+
 def _push_interval_all_rows(nums, g, S, d):
     """The tau interval (lo, hi) of the line nums + tau * g, from every row
-    meeting g, members and non-members alike; None when it is empty or
-    unbounded."""
+    meeting g, members and non-members alike; hi is None when no row bounds
+    it from above, and the result is None when it is empty."""
     dot = core.subset_sums(nums)
     lo, hi = None, None
-    for h, b in lp._meeting(g, d):
+    for h, b in _meeting(g, d):
         bound = Fraction(-dot[h], b)
         if (S >> (h - 1)) & 1:
             lo = bound if lo is None else max(lo, bound)
         else:
             hi = bound if hi is None else min(hi, bound)
-    if hi is None or lo >= hi:
+    if hi is not None and lo >= hi:
         return None
     return lo, hi
 
@@ -154,11 +160,12 @@ def _push_interval_all_rows(nums, g, S, d):
 def test_push_only_certifies_vertices_exhaustive_d4(brute_force_d4):
     # from the plain all-rows certificate of every vertex P, push toward
     # P + {g} for every g outside P: a certificate comes back exactly when
-    # the interval over all rows meeting g (members included) is non-empty
-    # and bounded, only for a vertex, and it separates on all rows; it lies
-    # on the line at the simplest tau of that interval
+    # the interval over all rows meeting g (members included) is non-empty,
+    # only for a vertex, and it separates on all rows; it lies on the line
+    # at the simplest tau of that interval (the least integer above lo when
+    # no non-member meets g, as for P + {g} the whole generator set)
     d = 4
-    pushed = 0
+    pushed = unbounded = 0
     for P in brute_force_d4:
         cert = lp.feasibility(lp.signed_rows(P, d)).certificate
         for g in core.generators_of(core.full_mask(d) & ~P):
@@ -170,13 +177,199 @@ def test_push_only_certifies_vertices_exhaustive_d4(brute_force_d4):
                 assert S in brute_force_d4, (P, g)
                 assert lp.verify_certificate(c, S, d)
                 lo, hi = interval
-                p, q = lp._simplest_between(
-                    lo.numerator, lo.denominator, hi.numerator, hi.denominator
-                )
+                hi_n, hi_d = (1, 0) if hi is None else (hi.numerator, hi.denominator)
+                p, q = lp._simplest_between(lo.numerator, lo.denominator, hi_n, hi_d)
                 line = [q * n + p * v for n, v in zip(cert, core.generator_vectors(d)[g])]
                 assert c == tuple(x // math.gcd(*line) for x in line), (P, g)
                 pushed += 1
+                unbounded += hi is None
     assert pushed > len(brute_force_d4)
+    assert unbounded > 0
+
+
+def _separates_by_rows(nums, den, S, d):
+    """The all-rows check of c = nums / den, one row at a time."""
+    for h, v in enumerate(core.generator_vectors(d)[1:], 1):
+        dot = sum(map(mul, nums, v))
+        if (dot < den) if (S >> (h - 1)) & 1 else (dot > -den):
+            return False
+    return True
+
+
+def _push_by_scan(nums, g, S, d):
+    """The push as a scan of the rows meeting g: row g bounds tau from
+    below, the non-members from above, and the simplest rational in the
+    interval gives the integer vector, divided by its gcd and checked on all
+    rows; None when the interval is empty or unbounded."""
+    dot = core.subset_sums(nums)
+    lo_n, lo_d, hi_n, hi_d = -dot[g], g.bit_count(), 1, 0
+    for h, b in _meeting(g, d):
+        if not (S >> (h - 1)) & 1 and -dot[h] * hi_d < hi_n * b:
+            hi_n, hi_d = -dot[h], b
+            if lo_n * hi_d >= hi_n * lo_d:
+                return None
+    if not hi_d:
+        return None
+    p, q = lp._simplest_between(lo_n, lo_d, hi_n, hi_d)
+    c = [q * n + p * v for n, v in zip(nums, core.generator_vectors(d)[g])]
+    c = tuple(x // math.gcd(*c) for x in c)
+    return c if _separates_by_rows(c, 1, S, d) else None
+
+
+def test_separates_matches_row_loop_every_subset_d4(brute_force_d4):
+    # every subset at d <= 4 against two vectors: its all-rows certificate
+    # when it is a vertex, and the balance of its point, 2 p(S) - |S|, which
+    # certifies many vertices and fails on the rest; at three margins den
+    checks = passed = 0
+    for d in (2, 3, 4):
+        for S in range(1 << core.generator_count(d)):
+            vectors = [tuple(2 * x - S.bit_count() for x in core.point_of(S, d))]
+            if d < 4 or S in brute_force_d4:
+                r = lp.vertex_feasible(S, d)
+                if r.feasible:
+                    vectors.append(r.certificate)
+            for c in vectors:
+                for den in (1, 2, 5):
+                    ok = lp._separates(c, den, S, d)
+                    assert ok == _separates_by_rows(c, den, S, d), (d, S, c, den)
+                    checks += 1
+                    passed += ok
+    # the 6 + 32 + 370 vertex certificates pass at den = 1
+    assert checks > 3 * (1 << 15) and passed > 6 + 32 + 370
+
+
+def test_lanes_exact_at_every_width_boundary():
+    # certificates with sum|c_i| + den at, just below and just above
+    # 2^(8k - 1), the largest lane magnitude for k bytes: one that puts
+    # every coordinate on the same side reaches -(sum|c_i| + den) and
+    # sum|c_i| + den - 1 on the all-ones row, the ends of the lane range.
+    # Sign strings and the all-rows check match the row loop for every S
+    # at d <= 3, and at d = 4 for the subset c separates and each subset
+    # one row away from it
+    for k in (1, 2, 3):
+        for bound in ((1 << (8 * k - 1)) + off for off in (-1, 0, 1)):
+            for d in (2, 3, 4):
+                m = core.generator_count(d)
+                for den in (1, 3):
+                    share = [(bound - den) // d + (i < (bound - den) % d) for i in range(d)]
+                    for c in (share, [-x for x in share], [share[0]] + [-x for x in share[1:]]):
+                        assert sum(map(abs, c)) + den == bound
+                        vecs = core.generator_vectors(d)[1:]
+                        for t in (den, 1 - den, 0, 1):
+                            width = lp._lane_width(sum(map(abs, c)) + abs(t))
+                            x = sum(map(mul, c, lp._lanes(d, width)[0]))
+                            want = bytes(b"01"[sum(map(mul, c, v)) >= t] for v in vecs)
+                            assert lp._signs(x, t, width, d) == want, (k, bound, d, c, t)
+                        own = sum(1 << h for h, v in enumerate(vecs) if sum(map(mul, c, v)) >= den)
+                        subsets = (
+                            range(1 << m) if d < 4 else [own] + [own ^ (1 << h) for h in range(m)]
+                        )
+                        for S in subsets:
+                            assert lp._separates(c, den, S, d) == _separates_by_rows(c, den, S, d)
+                        assert lp._separates(c, den, own, d) == (
+                            min(abs(sum(map(mul, c, v))) for v in vecs) >= den
+                        )
+
+
+def test_verify_certificate_large_denominators():
+    # rational certificates c / M and c * (1 +- 1 / M) with M large, and
+    # coordinates over distinct large primes: the lcm denominator runs to
+    # hundreds of bits, and the verdict is the one exact Fractions give
+    d = 4
+    rng = random.Random(7)
+    primes = [1_000_000_007, 998_244_353, 2_147_483_647, (1 << 61) - 1]
+    checked = 0
+    for S in _sample_masks(rng, 40):
+        r = lp.vertex_feasible(S, d)
+        if not r.feasible:
+            continue
+        c = r.certificate
+        tight = min(abs(sum(map(mul, c, v))) for v in core.generator_vectors(d)[1:])
+        M = (1 << 127) - 1
+        variants = [
+            [Fraction(x, M) for x in c],
+            [x * Fraction(M - 1, M) for x in c],
+            [x * Fraction(M + 1, M) for x in c],
+            [x + Fraction(rng.randint(-1, 1), p) for x, p in zip(c, primes)],
+            [Fraction(x * tight, tight) + Fraction(1, p * p) for x, p in zip(c, primes)],
+        ]
+        for v in variants:
+            want = all(
+                (s >= 1) if (S >> (h - 1)) & 1 else (s <= -1)
+                for h, g in enumerate(core.generator_vectors(d)[1:], 1)
+                for s in [sum(a * b for a, b in zip(v, g))]
+            )
+            assert lp.verify_certificate(v, S, d) == want, (S, v)
+            checked += 1
+        # the margin is exactly 1 on some row, so shrinking c loses it
+        if tight == 1:
+            assert not lp.verify_certificate(variants[1], S, d)
+        assert lp.verify_certificate(variants[2], S, d)
+    assert checked >= 20
+
+
+def _oracle_calls(monkeypatch, d):
+    """(S, parents) of every oracle call of a fresh run at d."""
+    calls = []
+    oracle = lp.vertex_feasible
+
+    def recording(S, d, parents=()):
+        calls.append((S, list(parents)))
+        return oracle(S, d, parents)
+
+    monkeypatch.setattr(lp, "vertex_feasible", recording)
+    engine.run(engine.RunConfig(d=d))
+    monkeypatch.setattr(lp, "vertex_feasible", oracle)
+    return calls
+
+
+@pytest.mark.parametrize("d, calls, pairs, certified", [(5, 111, 197, 143), (6, 1511, 3786, 2311)])
+def test_push_matches_row_scan_on_engine_pairs(monkeypatch, d, calls, pairs, certified):
+    # every (parent certificate, g) pair a run passes to the oracle, not only
+    # those tried before the first success: the lane search returns exactly
+    # what the scan of the rows meeting g and the simplest rational return
+    recorded = _oracle_calls(monkeypatch, d)
+    assert len(recorded) == calls
+    tried = pushed = 0
+    for S, parents in recorded:
+        for c, g in parents:
+            got = lp._push(c, g, S, d)
+            assert got == _push_by_scan(c, g, S, d), (S, c, g)
+            tried += 1
+            pushed += got is not None
+    assert (tried, pushed) == (pairs, certified)
+
+
+def test_push_from_a_wrong_certificate_is_sound():
+    # c_P that does not certify P: a perturbed certificate of P, or a small
+    # vector with rows at 0 whose S takes the rows at 0 as members; whatever
+    # _push returns certifies S, and some pushes do return
+    rng = random.Random(13)
+    cases = []
+    for d in (4, 5):
+        for S in _sample_masks(rng, 150):
+            S &= core.full_mask(d)
+            for g in core.generators_of(S):
+                P = S & ~(1 << (g - 1))
+                base = lp.vertex_feasible(P, d).certificate or (0,) * d
+                for scale in (1, 2, 5, 20):
+                    cases.append((tuple(x + rng.randint(-scale, scale) for x in base), g, S, d))
+        for _ in range(2000):
+            c = tuple(rng.randint(-2, 2) for _ in range(d))
+            dot = core.subset_sums(c)
+            g = rng.randrange(1, 1 << d)
+            S = sum(1 << (h - 1) for h in range(1, 1 << d) if dot[h] >= 0 or h == g)
+            cases.append((c, g, S, d))
+    returned = 0
+    for c, g, S, d in cases:
+        if lp.verify_certificate(c, S & ~(1 << (g - 1)), d):
+            continue
+        got = lp._push(c, g, S, d)
+        if got is not None:
+            assert lp.verify_certificate(got, S, d), (d, S, c, g)
+            assert _separates_by_rows(got, 1, S, d)
+            returned += 1
+    assert returned > 0
 
 
 def test_simplest_between_exhaustive():
