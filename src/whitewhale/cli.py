@@ -200,7 +200,7 @@ def cmd_generate(args) -> int:
             print(
                 f"layer {layer.k}: {len(layer.entries)} entries, {layer.candidates} candidates, "
                 f"{layer.lp_calls} LP calls, {layer.by_simplex} by simplex, "
-                f"{layer.seconds:.1f} seconds",
+                f"{layer.pushed} pushed, {layer.seconds:.1f} seconds",
                 file=sys.stderr,
             )
         layerfile.write_layer(layerfile.layer_path(args.layers_dir, d, layer.k, args.shard), layer)

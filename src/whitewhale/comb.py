@@ -1,7 +1,8 @@
 """Combinatorial pruning and canonicalization under coordinate permutations.
 
-``may_extend`` certifies non-vertices cheaply so that the expensive exact
-feasibility oracle is only called on surviving candidates.  It is a
+``extensions`` (and ``may_extend``, the same rules on one generator)
+certifies non-vertices cheaply so that the expensive exact feasibility
+oracle is only called on surviving candidates.  It is a
 necessary condition for vertexhood (given that the subset being extended
 is itself a vertex), so pruning never loses a vertex.  ``shift_closed`` is
 the same kind of necessary condition for a canonical subset, and
@@ -57,6 +58,17 @@ def may_extend(S: int, g: int, d: int) -> bool:
     """Necessary condition for p(S + {g}) to be a vertex, given that p(S) is
     one and g is not in S.  False certifies that S + {g} is not a vertex.
 
+    ``extensions`` on the one generator g; the rules and their soundness
+    are in its docstring.
+    """
+    return bool(extensions(S, 1 << (g - 1), d))
+
+
+def extensions(S: int, candidates: int, d: int) -> list[int]:
+    """The generators g of the mask ``candidates`` (none of them in S) for
+    which p(S + {g}) may be a vertex, given that p(S) is one, in id order.
+    A generator left out certifies that S + {g} is not a vertex.
+
     With c the certificate of S + {g} (c.h >= 1 on members, <= -1 outside):
 
     * pair-sum closure: every member a of S with support disjoint from g
@@ -76,11 +88,29 @@ def may_extend(S: int, g: int, d: int) -> bool:
     one of each pair {h, (1,...,1) - h}, so it holds (1,...,1) - g for any
     other g, and pair-sum closure then asks for (1,...,1) in S.
     """
+    rules = _extension_rules(d)
+    out = ~S
+    keep = []
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        g = low.bit_length()
+        disjoint, submasks, count = rules[g]
+        if not ((S & disjoint) << g) & out and (S & submasks).bit_count() == count:
+            keep.append(g)
+    return keep
+
+
+@lru_cache(maxsize=None)
+def _extension_rules(d: int) -> tuple[tuple[int, int, int] | None, ...]:
+    """rules[g] = (the submasks of (1,...,1) - g, the submasks of g,
+    2^{sigma(g)-1} - 1) for every generator id g: the masks and the count
+    that the two rules of ``extensions`` read.  Built once per dimension."""
     ones = (1 << d) - 1
     table = submask_table(d)
-    if ((S & table[ones ^ g]) << g) & ~S:
-        return False
-    return (S & table[g]).bit_count() == (1 << (g.bit_count() - 1)) - 1
+    return (None,) + tuple(
+        (table[ones ^ g], table[g], (1 << (g.bit_count() - 1)) - 1) for g in range(1, 1 << d)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -11,17 +11,18 @@ Three levels of machinery:
   halfway layer; central symmetry supplies the other half.
 * ``generate`` / ``expand_layer`` are the White Whale specialization:
   subsets are bitmasks over the integer-encoded generators.  Each parent
-  is extended only by the generators of ``comb.shift_extensions``, so
-  every child is shift-closed as built, and ``comb.may_extend`` runs on
-  each of them before its feasibility call.  A shift-closed child has a
-  nondecreasing point, so children are canonical by construction and none
-  is relabelled.
+  is extended only by the generators of ``comb.shift_extensions`` that
+  pass the rules of ``comb.extensions``, so every child is shift-closed
+  as built.  A shift-closed child has a nondecreasing point, so children
+  are canonical by construction and none is relabelled.
 
 Only two consecutive layers are ever held in memory.  A layer step walks
-the parents in the run's own process and keeps one candidate child per
-point; only the oracle calls go to the worker pool, in point order,
-so the output and every count on the layer records are identical for any
-worker count.
+the parents in the run's own process, keeps one candidate child per
+point and pushes each child from the certificate of the parent at hand
+until one push certifies it; only the oracle calls for the children that
+no push certified go to the worker pool, in point order, so the output
+and every count on the layer records are identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ class LayerRecord:
     candidates: int = field(default=0, compare=False)
     lp_calls: int = field(default=0, compare=False)
     by_simplex: int = field(default=0, compare=False)
+    pushed: int = field(default=0, compare=False)
     seconds: float = field(default=0.0, compare=False)
 
     @property
@@ -78,18 +80,24 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
     """Compute layer k + 1 from the entries of layer k, for k below cfg.max_layer.
 
     Candidates: each parent extended by each g of ``comb.shift_extensions``
-    that passes ``comb.may_extend``.  A parent is shift-closed, so each
+    that ``comb.extensions`` keeps.  A parent is shift-closed, so each
     child is too, and the point of a shift-closed subset is nondecreasing
     (the shift injects the members with a 1 at i and a 0 at i + 1 into
     those with the reverse), so each child is already canonical.  A point
-    reached by two different masks is dropped.  Oracle: one
-    ``lp.vertex_feasible`` call per remaining point, in point order, inline
-    or over the executor's workers, with the certificates of every parent
-    that produced it (in parent order) to push from; parents read from a
-    layer file have none, so their children try only the push from their
-    own point before the simplex.
+    reached by two different masks is dropped.
+    Pushes: the walk takes the parents in layer order, and every child
+    that no earlier parent has certified gets a push from the parent at
+    hand, when that parent has a certificate (``lp.push`` from one
+    ``lp.push_source`` per parent, built for its first push).  So each
+    child is certified by the first parent, in layer order, whose push
+    succeeds.  Parents read from a layer file have no certificate, so
+    their children are all left to the oracle.
+    Oracle: one ``lp.vertex_feasible`` call per point that no push
+    certified, in point order, inline or over the executor's workers.
     Output: the feasible children with their certificates and orbit sizes,
-    already sorted by point, and the step's counts on the layer record.
+    already sorted by point, and the step's counts on the layer record:
+    ``lp_calls`` oracle calls, ``by_simplex`` of them decided by the
+    simplex, and ``pushed`` children certified in the walk.
 
     Soundness: a shift-closed parent needs a generator whose shifts all lie
     in it to stay shift-closed (the shifts of g differ from g), and a
@@ -97,47 +105,56 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
     vertex point has a single generator decomposition (its certificate c
     has c.g != 0 on every generator, so the point is the unique maximiser
     of c.x), so a point with two masks is none, and one oracle call per
-    point decides it.
+    point decides it.  A push certifies only a vertex, so a pushed point
+    is never reached by a second mask.
     """
     if layer.k >= cfg.max_layer:
         raise ValueError(f"cannot expand layer {layer.k}: the max layer is {cfg.max_layer}")
     d = layer.d
     t0 = time.monotonic()
-    # point -> (child mask, (certificate, g) of every parent producing that point)
-    children: dict[tuple[int, ...], tuple[int, list]] = {}
+    # point -> [child mask, its certificate once a push has found one]
+    children: dict[tuple[int, ...], list] = {}
     ambiguous: set[tuple[int, ...]] = set()  # points reached by two different masks
     candidates = 0
     for e in layer.entries:
-        for g in core.generators_of(comb.shift_extensions(e.subset, d)):
-            if comb.may_extend(e.subset, g, d):
-                candidates += 1
-                p = core.point_increment(e.point, g, d)
-                mask = e.subset | (1 << (g - 1))
-                child = children.get(p)
-                if child is None:
-                    child = children[p] = (mask, [])
-                elif child[0] != mask:
-                    ambiguous.add(p)
-                if e.certificate is not None:
-                    child[1].append((e.certificate, g))
+        P, src = e.subset, None
+        for g in comb.extensions(P, comb.shift_extensions(P, d), d):
+            candidates += 1
+            p = core.point_increment(e.point, g, d)
+            mask = P | (1 << (g - 1))
+            child = children.get(p)
+            if child is None:
+                child = children[p] = [mask, None]
+            elif child[0] != mask:
+                ambiguous.add(p)
+                continue
+            if child[1] is None and e.certificate is not None:
+                if src is None:
+                    src = lp.push_source(e.certificate, P, d)
+                child[1] = lp.push(src, g, d)
     points = [p for p in sorted(children) if p not in ambiguous]
-    masks = [children[p][0] for p in points]
-    certs = [children[p][1] for p in points]
-    if executor is None:
-        results = [lp.vertex_feasible(S, d, c) for S, c in zip(masks, certs)]
+    masks = [children[p][0] for p in points if children[p][1] is None]
+    if executor is None or not masks:
+        results = [lp.vertex_feasible(S, d) for S in masks]
     else:
         chunk = max(1, math.ceil(len(masks) / _pool_size(cfg)))
-        results = list(
-            executor.map(lp.vertex_feasible, masks, [d] * len(masks), certs, chunksize=chunk)
-        )
-    entries = tuple(
-        comb.CanonicalVertex(S, p, comb.orbit_size(p, d), r.certificate)
-        for p, S, r in zip(points, masks, results)
-        if r.feasible
-    )
+        results = list(executor.map(lp.vertex_feasible, masks, [d] * len(masks), chunksize=chunk))
+    decided = iter(results)
+    entries = []
+    for p in points:
+        S, c = children[p]
+        if c is None:
+            r = next(decided)
+            if not r.feasible:
+                continue
+            c = r.certificate
+        entries.append(comb.CanonicalVertex(S, p, comb.orbit_size(p, d), c))
     by_simplex = sum(r.by_simplex for r in results)
     seconds = time.monotonic() - t0
-    return LayerRecord(d, layer.k + 1, entries, candidates, len(masks), by_simplex, seconds)
+    return LayerRecord(
+        d, layer.k + 1, tuple(entries), candidates, len(masks), by_simplex,
+        len(points) - len(masks), seconds,
+    )
 
 
 def merge_partials(parts: list[LayerRecord]) -> LayerRecord:

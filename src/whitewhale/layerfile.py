@@ -72,7 +72,7 @@ def render(layer: LayerRecord) -> str:
         ids = " ".join(
             [_byte_ids(i, b) for i, b in enumerate(e.subset.to_bytes(size, "little")) if b]
         )
-        point = " ".join(str(x) for x in e.point)
+        point = " ".join(map(str, e.point))
         lines.append(f"{ids} | {point}" if ids else f"| {point}")
     body = "".join(line + "\n" for line in lines)
     digest = hashlib.sha256(body.encode()).hexdigest()

@@ -25,28 +25,26 @@ Every row check runs on all 2^d - 1 rows at once, with no row loop.  For
 a lane width of k bytes, lane h - 1 of a big integer stands for
 generator h, and d cached column constants give the lanes of c.h for
 every h as one sum sum_i c_i * col_i (``_lanes``).  Adding 2^(8k - 1) - t
-to every lane sets its top bit exactly when c.h >= t, and the top bytes
-become a string of b"0" and b"1" compared with the string of S
-(``_signs``, ``_members``).  k is chosen from sum|c_i| + |t|, so no lane
-overflows and every comparison is exact.  The all-rows check
-``_separates`` is two such comparisons.
+to every lane sets its top bit exactly when c.h >= t, so masking the top
+bits and comparing with the top bits of the members of S (``_top_bits``)
+is one integer compare.  k is chosen so that no lane overflows, and every
+comparison is exact.  The all-rows check ``_separates`` is two such
+compares.  The simplex tableau is packed the same way, one integer per
+row (``_phase_one``).
 
-Before the simplex, ``vertex_feasible`` tries a push: given the
-certificate c_P of a parent vertex P and the generator g with
-S = P + {g}, it searches the line c_P + tau * g for a certificate of S.
-Row g bounds tau from below by lo, the non-members meeting g bound it
-from above; one sign string at tau = lo says whether the interval is
-empty, and the least-denominator tau = p / q in it, which the search
-reaches by q = 2 |g|, gives an integer c, checked on
-all rows like a simplex certificate, so a push can only confirm a
-vertex.  When every parent push fails, or there is no parent certificate
-(a layer read from a file), a point push searches the line
-p(S) - lam * (1, ..., 1) through the point of S itself, its first-order
-Chow parameters: one subset-sum pass bounds lam, the simplest rational
-gives an integer c, and c gets the all-rows check.  Only a subset whose
-pushes all fail goes to the simplex: 47 of the 1,511 calls of a d = 6
-run.  Every certificate, pushed or from the simplex, is an integer
-vector, so the next push starts from it as it is.
+Most vertices never reach this module's oracle.  While the engine walks
+a parent vertex P with certificate c_P, every child S = P + {g} that no
+earlier parent has certified gets a push (``push_source`` once per
+parent, then ``push``): the least-denominator point of the line
+c_P + tau * g that puts every row on its side, checked on all rows, so a
+push can only confirm a vertex.  Parents are tried in walk order, and the
+first push that succeeds certifies the child.  ``vertex_feasible`` decides
+the rest: a point push searches the line p(S) - lam * (1, ..., 1) through
+the point of S itself, its first-order Chow parameters, and only a subset
+whose point push fails goes to the simplex: 47 of the 182 oracle calls of
+a d = 6 run, whose walk pushes certify 1,329 children.  Every
+certificate, pushed or from the simplex, is an integer vector, so the
+next push starts from it as it is.
 """
 
 from __future__ import annotations
@@ -56,6 +54,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import mul
+from typing import NamedTuple
 
 from . import comb, core
 
@@ -69,7 +68,7 @@ class FeasibilityResult:
 
     feasible: bool
     certificate: tuple[int, ...] | None = None
-    by_simplex: bool = True  # False when a pushed parent certificate answered
+    by_simplex: bool = True  # False when the point push answered
 
 
 def feasibility(rows) -> FeasibilityResult:
@@ -92,36 +91,32 @@ def feasibility(rows) -> FeasibilityResult:
     return FeasibilityResult(True, c)
 
 
-def vertex_feasible(S: int, d: int, parents=()) -> FeasibilityResult:
+def vertex_feasible(S: int, d: int) -> FeasibilityResult:
     """Vertex test for a subset mask over the full White Whale generator set.
 
-    ``parents`` holds (certificate, g) pairs of vertices P with
-    P + {g} = S, tried in order by ``_push``; then ``_point_push`` tries the
-    line through the point of S.  Any c a push returns has passed the
-    all-rows check, so it proves S a vertex: a push never decides a
-    non-vertex, it only spares the simplex on a vertex.
+    First ``_point_push`` tries the line through the point of S.  A
+    certificate it returns has passed the all-rows check, so it proves S a
+    vertex: a push never decides a non-vertex, it only spares the simplex
+    on a vertex.  The engine calls this only for the children that no
+    parent push (``push``) certified during its walk.
 
-    The simplex runs when no push succeeds.  A shift-closed S (see
+    The simplex runs when the point push fails.  A shift-closed S (see
     ``comb.shift_closed``) has a nondecreasing point, and if it is a vertex
     then some certificate is nondecreasing.  So the oracle adds the d - 1
     cone columns e_{i+1} - e_i, which force c to be nondecreasing, and
-    keeps only the rows that can bind for such c: the shift-minimal members
-    and the shift-maximal non-members (every other row is implied).  Any
-    other S runs on all of ``signed_rows(S, d)``.  The certificate is
-    re-verified on all 2^d - 1 rows in exact integer arithmetic.
+    keeps only the rows that can bind for such c (``_binding``): the
+    shift-minimal members and the shift-maximal non-members (every other
+    row is implied).  The point push scans the same rows.  Any other S
+    runs on all of ``signed_rows(S, d)``.  The certificate is re-verified
+    on all 2^d - 1 rows in exact integer arithmetic.
     """
     core.check_dimension(d)
-    for c, g in parents:
-        pushed = _push(c, g, S, d)
-        if pushed is not None:
-            return FeasibilityResult(True, pushed, by_simplex=False)
-    pushed = _point_push(S, d)
+    closed = comb.shift_closed(S, d)
+    rows = _binding(S, d) if closed else core.full_mask(d)
+    pushed = _point_push(S, d, rows)
     if pushed is not None:
         return FeasibilityResult(True, pushed, by_simplex=False)
-    if comb.shift_closed(S, d):
-        c = _phase_one(_binding_rows(S, d), d, _cone_columns(d))
-    else:
-        c = _phase_one(signed_rows(S, d), d)
+    c = _phase_one(_rows(S, rows, d), d, _cone_columns(d) if closed else ())
     if c is None:
         return FeasibilityResult(False)
     if not _separates(c, 1, S, d):
@@ -158,12 +153,17 @@ def _cone_columns(d: int) -> tuple[tuple[int, ...], ...]:
 
 def signed_rows(S: int, d: int) -> list[tuple[int, ...]]:
     """The constraint rows of the vertex test: +g for g in S, -g outside."""
+    return _rows(S, core.full_mask(d), d)
+
+
+def _rows(S: int, gens: int, d: int) -> list[tuple[int, ...]]:
+    """The rows of the generators in the mask gens, in id order: +g in S, -g outside."""
     table = _generator_rows(d)
-    return [table[g][0 if (S >> (g - 1)) & 1 else 1] for g in range(1, 1 << d)]
+    return [table[g][0 if (S >> (g - 1)) & 1 else 1] for g in core.generators_of(gens)]
 
 
-def _binding_rows(S: int, d: int) -> list[tuple[int, ...]]:
-    """The rows of a shift-closed S that can bind for a nondecreasing c, in id order.
+def _binding(S: int, d: int) -> int:
+    """The mask of the rows of a shift-closed S that can bind for a nondecreasing c.
 
     Let h' be h with a 1 moved to the next coordinate, so c.h <= c.h'.  A
     member h' with h in S gets c.h' >= c.h >= 1 from h's row, and a
@@ -176,8 +176,7 @@ def _binding_rows(S: int, d: int) -> list[tuple[int, ...]]:
     implied = 0
     for A, s in comb.shift_table(d):
         implied |= ((S & A) >> s) | (out & A & (out << s))
-    table = _generator_rows(d)
-    return [table[g][0 if (S >> (g - 1)) & 1 else 1] for g in core.generators_of(full & ~implied)]
+    return full & ~implied
 
 
 def verify_certificate(c, S: int, d: int) -> bool:
@@ -199,54 +198,78 @@ def _separates(nums, den, S: int, d: int) -> bool:
     over all 2^d - 1 generators, in integers.
 
     That holds exactly when S is both the set of rows with nums.g >= den
-    and the set with nums.g >= 1 - den, i.e. nums.g > -den: two sign
-    strings of the lanes of nums (``_lanes``)."""
+    and the set with nums.g >= 1 - den, i.e. nums.g > -den: two masked
+    compares of the lanes of nums (``_lanes``), each lane shifted by
+    2^(8k - 1) - t, against the top bits of S."""
     k = _lane_width(sum(map(abs, nums)) + den)
-    x = sum(map(mul, nums, _lanes(d, k)[0]))
-    want = _members(S, d)
-    return _signs(x, den, k, d) == want and _signs(x, 1 - den, k, d) == want
+    cols, ones, top = _lanes(d, k)
+    x = sum(map(mul, nums, cols)) + top
+    want = _top_bits(S, d, k)
+    return (x - den * ones) & top == want and (x + (den - 1) * ones) & top == want
 
 
-def _push(nums, g: int, S: int, d: int) -> tuple[int, ...] | None:
-    """An integer certificate of S on the line c_P + tau * g, or None.
+class PushSource(NamedTuple):
+    """What every push from one parent vertex P shares (see ``push_source``)."""
 
-    c_P = nums, an integer vector, certifies a vertex P and S = P + {g}.
-    Row h asks for c_P.h + tau * g.h > 0 if h is in S and < 0 if not, and
-    g.h >= 0, so only the rows with g.h > 0 move with tau.  Row g bounds
-    tau from below: tau > lo = a / b with a = -c_P.g >= 1 and b = |g|.
-    Every other member h of S lies in P, so c_P.h >= 1, and any tau > 0
-    keeps its row positive.  The non-members meeting g bound tau from
+    certificate: tuple[int, ...]  # c_P
+    parent: int                   # the mask of P
+    k: int                        # lane width in bytes
+    lanes: int                    # c_P.h in lane h - 1, for every generator h
+    want: int                     # the top bit of the lane of each member of P
+
+
+def push_source(c, P: int, d: int) -> PushSource:
+    """The push source of the parent vertex P with integer certificate c.
+
+    Its lanes are k bytes wide with d (4 sum|c_i| + 1) + 1 < 2^(8k - 1),
+    which covers the push along every generator g, since |g| <= d (see
+    ``push``).  It holds the lanes of c and the top bits of the members of
+    P, computed once for all the children of P."""
+    k = _lane_width(d * (4 * sum(map(abs, c)) + 1) + 1)
+    return PushSource(c, P, k, sum(map(mul, c, _lanes(d, k)[0])), _top_bits(P, d, k))
+
+
+def push(src: PushSource, g: int, d: int) -> tuple[int, ...] | None:
+    """An integer certificate of S = P + {g} on the line c_P + tau * g, or None.
+
+    src = ``push_source(c_P, P, d)``, and g is not in P.  Row h asks for
+    c_P.h + tau * g.h > 0 if h is in S and < 0 if not, and g.h >= 0, so
+    only the rows with g.h > 0 move with tau.  Row g bounds tau from
+    below: tau > lo = a / b with a = -c_P.g and b = |g|.  If c_P certifies
+    P, every other member h of S lies in P, so c_P.h >= 1, and any tau > 0
+    keeps its row positive, and the non-members meeting g bound tau from
     above, by hi.  So the interval (lo, hi) is non-empty exactly when every
-    row has its sign at tau = lo, row g at 0 counted as positive: one sign
-    string of the lanes of b * c_P + a * g against the string of S, with
-    no row scan.  If it matches, tau = p / q runs through q = 1, 2, ...
-    with p = floor(q * lo) + 1, the least p / q above lo, and the first
-    q * c_P + p * g with every row on its side is the least-denominator
-    rational in the interval, the one ``_simplest_between`` would give.
-    The mediant of lo and the binding hi = -c_P.h / g.h lies in the
-    interval, with denominator b + g.h <= 2 b, so the search ends by
-    q = 2 b (at q = 1 if no non-member meets g).  That vector gets the
-    margin check (every row at least 1 away from 0, which with a valid c_P
-    always holds) and is divided by its gcd.  Every test is exact on all
-    2^d - 1 rows, so whatever c_P is, a returned vector certifies S.
+    row has its sign at tau = lo, row g at 0 counted as positive: one
+    masked compare of the lanes of b * c_P + a * g with the top bits of S,
+    (x + 2^(8k - 1)) & top == want_P | topbit(g), with no row scan.  If it
+    matches, tau = p / q runs through q = 1, 2, ... with p = floor(q * lo)
+    + 1, the least p / q above lo, and the first q * c_P + p * g with every
+    row on its side is the least-denominator rational in the interval, the
+    one ``_simplest_between`` would give.  The mediant of lo and the
+    binding hi = -c_P.h / g.h lies in the interval, with denominator
+    b + g.h <= 2 b, so the search ends by q = 2 b (at q = 1 if no
+    non-member meets g).  That vector gets the margin check (every row at
+    least 1 away from 0, which with a valid c_P always holds) and is
+    divided by its gcd.  Every test is exact on all 2^d - 1 rows, so
+    whatever c_P is, a returned vector certifies S.
 
-    Lanes are k bytes wide with b (4 sum|c_P| + 1) + 1 < 2^(8k - 1).  That
-    bounds |row - t| for every vector tested here, since t is 0 or 1,
-    |a| <= sum|c_P|, g.h <= b, q <= 2 b and |p| <= 2 |a| + 1.
+    Every lane tested here stays below 2^(8k - 1) in magnitude: it is a
+    row value minus t, with t 0 or 1, |a| <= sum|c_P|, g.h <= b, q <= 2 b
+    and |p| <= 2 |a| + 1, so at most b (4 sum|c_P| + 1) + 1, and b <= d.
     """
+    nums, _, k, lanes_c, want = src
+    cols, ones, top = _lanes(d, k)
     v = core.generator_vectors(d)[g]
-    a, b = -sum(map(mul, nums, v)), g.bit_count()
-    k = _lane_width(b * (4 * sum(map(abs, nums)) + 1) + 1)
-    cols = _lanes(d, k)[0]
-    lanes_c, lanes_g = sum(map(mul, nums, cols)), sum(compress(cols, v))
-    want = _members(S, d)
-    if _signs(b * lanes_c + a * lanes_g, 0, k, d) != want:
+    a, b = -sum(compress(nums, v)), g.bit_count()
+    lanes_g = sum(compress(cols, v))
+    want |= 1 << (8 * k * g - 1)
+    if (b * lanes_c + a * lanes_g + top) & top != want:
         return None
     for q in range(1, 2 * b + 1):
         p = q * a // b + 1
-        lanes = q * lanes_c + p * lanes_g
-        if _signs(lanes, 0, k, d) == want:
-            if _signs(lanes, 1, k, d) != want:
+        x = q * lanes_c + p * lanes_g + top
+        if x & top == want:
+            if (x - ones) & top != want:
                 return None
             c = [q * n + p * s for n, s in zip(nums, v)]
             e = math.gcd(*c)
@@ -254,24 +277,20 @@ def _push(nums, g: int, S: int, d: int) -> tuple[int, ...] | None:
     return None
 
 
-def _point_push(S: int, d: int) -> tuple[int, ...] | None:
-    """An integer certificate of S on the line p - lam * (1, ..., 1), or None.
+def _point_interval(p, S: int, rows: int) -> tuple[int, int, int, int] | None:
+    """The open lam interval (lo_n / lo_d, hi_n / hi_d) that puts the rows in
+    the mask ``rows`` on their side of the line p - lam * (1, ..., 1), or
+    None when it is empty; hi_d = 0 means no member bounds it from above.
 
-    p = p(S) is the point of S.  Row h asks for p.h - lam * |h| > 0 if h
-    is in S and < 0 if not, so every member bounds lam from above and every
-    non-member from below; p >= 0 makes every lower end at least 0, which
-    is where the interval starts, and the scan stops at the first row that
-    empties it.  Then the simplest rational lam = r / q in the interval
-    (``_simplest_between``) gives the integer c = (q * p - r * (1, ..., 1))
-    / gcd, returned if it passes the all-rows check ``_separates``.  No
-    parent certificate is needed.
+    Row h asks for p.h - lam * |h| > 0 if h is in S and < 0 if not, so
+    every member bounds lam from above and every non-member from below;
+    p >= 0 makes every lower end at least 0, which is where the interval
+    starts, and the scan stops at the first row that empties it.
     """
-    p = core.point_of(S, d)
     dot = core.subset_sums(p)
-    # lam in (lo_n / lo_d, hi_n / hi_d), denominators positive; hi_d = 0
-    # means no member bounds it from above
     lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 0
-    for h, b in _sizes(d):
+    for h in core.generators_of(rows):
+        b = h.bit_count()
         if (S >> (h - 1)) & 1:
             if dot[h] * hi_d >= hi_n * b:
                 continue
@@ -282,7 +301,28 @@ def _point_push(S: int, d: int) -> tuple[int, ...] | None:
             continue
         if lo_n * hi_d >= hi_n * lo_d:
             return None
-    r, q = _simplest_between(lo_n, lo_d, hi_n, hi_d)
+    return lo_n, lo_d, hi_n, hi_d
+
+
+def _point_push(S: int, d: int, rows: int) -> tuple[int, ...] | None:
+    """An integer certificate of S on the line p - lam * (1, ..., 1), or None.
+
+    p = p(S) is the point of S, and lam is bounded by the rows in the mask
+    ``rows`` (``_point_interval``): all rows, or for a shift-closed S its
+    binding rows (``_binding``).  Those give the same interval.  p is
+    nondecreasing, and moving a 1 of h to an earlier coordinate cannot
+    raise p.h while |h| stays, so the least p.h / |h| over members lies on
+    a shift-minimal member and the greatest over non-members on a
+    shift-maximal non-member.  Then the simplest rational lam = r / q in
+    the interval (``_simplest_between``) gives the integer c = (q * p - r *
+    (1, ..., 1)) / gcd, returned if it passes the all-rows check
+    ``_separates``.  No parent certificate is needed.
+    """
+    p = core.point_of(S, d)
+    interval = _point_interval(p, S, rows)
+    if interval is None:
+        return None
+    r, q = _simplest_between(*interval)
     c = [q * x - r for x in p]
     e = math.gcd(*c)
     c = tuple(x // e for x in c)
@@ -309,26 +349,24 @@ def _simplest_between(a: int, b: int, c: int, e: int) -> tuple[int, int]:
         a, b, c, e = e, c - n * e, b, a - n * b
 
 
-@lru_cache(maxsize=None)
-def _sizes(d: int) -> tuple[tuple[int, int], ...]:
-    """(h, |h|) for every generator id h, in id order."""
-    return tuple((h, h.bit_count()) for h in range(1, 1 << d))
-
-
 def _lane_width(bound: int) -> int:
     """The least lane width k, in bytes, with bound < 2^(8k - 1)."""
     return bound.bit_length() // 8 + 1
 
 
 @lru_cache(maxsize=None)
-def _lanes(d: int, k: int) -> tuple[tuple[int, ...], int]:
-    """The column constants and the all-ones constant, in lanes of k bytes.
+def _lanes(d: int, k: int) -> tuple[tuple[int, ...], int, int]:
+    """The column constants, the all-ones constant and the top-bit mask, in
+    lanes of k bytes.
 
     Lane h - 1 (bits 8k(h - 1) up to 8kh) stands for generator h.  Column
     i holds coordinate i of each generator in its lane, so for an integer
     vector c, sum(map(mul, c, cols)) holds every dot product c.h at once,
     as the signed integer sum_h c.h * 2^(8k(h - 1)); ``ones`` holds 1 in
-    every lane.
+    every lane, and ``top`` = 2^(8k - 1) * ones its top bit.  A lane x_h
+    with |x_h - t| < 2^(8k - 1) stays in [0, 2^(8k)) once 2^(8k - 1) - t
+    is added to it, with its top bit set exactly when x_h >= t, and then
+    no lane borrows from or carries into the next.
     """
     one, zero = (1).to_bytes(k, "little"), bytes(k)
     gens = range(1, 1 << d)
@@ -336,30 +374,24 @@ def _lanes(d: int, k: int) -> tuple[tuple[int, ...], int]:
         int.from_bytes(b"".join(one if (h >> i) & 1 else zero for h in gens), "little")
         for i in reversed(range(d))
     )
-    return cols, int.from_bytes(one * len(gens), "little")
+    ones = int.from_bytes(one * len(gens), "little")
+    return cols, ones, ones << (8 * k - 1)
 
 
-# byte -> b"1" if its top bit is set, else b"0"
-_TOP_BIT = b"0" * 128 + b"1" * 128
+# b"0" -> 0, b"1" -> 0x80: a byte with only its top bit set for a member
+_TOP_BYTE = bytes.maketrans(b"01", b"\x00\x80")
 
 
-def _signs(x: int, t: int, k: int, d: int) -> bytes:
-    """The string whose byte h - 1 is b"1" if lane h - 1 of x, the lane of
-    generator h, holds at least t, else b"0".
+def _top_bits(S: int, d: int, k: int) -> int:
+    """The top bit of lane h - 1 (k bytes per lane) for every generator h in S.
 
-    Adding 2^(8k - 1) - t to every lane puts each lane in [0, 2^(8k)) when
-    |x_h - t| < 2^(8k - 1), with its top bit set exactly when x_h >= t;
-    then no lane borrows from or carries into the next, and the top byte
-    of each lane is every k-th byte of the sum.
-    """
-    ones = _lanes(d, k)[1]
-    top = (x + ((1 << (8 * k - 1)) - t) * ones).to_bytes(k * ((1 << d) - 1), "little")
-    return top[k - 1 :: k].translate(_TOP_BIT)
-
-
-def _members(S: int, d: int) -> bytes:
-    """The string whose byte h - 1 is b"1" if generator h is in S, else b"0"."""
-    return f"{S:0{(1 << d) - 1}b}"[::-1].encode()
+    The binary digits of S run from generator n = 2^d - 1 down to 1, and
+    so, read big-endian, do the top bytes of the lanes, every k-th byte
+    from the first."""
+    n = (1 << d) - 1
+    lanes = bytearray(k * n)
+    lanes[::k] = f"{S:0{n}b}".encode().translate(_TOP_BYTE)
+    return int.from_bytes(lanes, "big")
 
 
 def _phase_one(rows, d, cone=()):
@@ -370,6 +402,22 @@ def _phase_one(rows, d, cone=()):
     the rows plus a nonnegative combination of the cone columns (system
     infeasible), else an integer c with c.a >= 1 on the rows and c.b >= 0
     on the cone columns.
+
+    Each tableau row is one integer of W-bit lanes, column j in lane j:
+    the row sum_j t_j 2^(W j) with signed t_j.  Every entry of a
+    fraction-free Gauss-Jordan tableau is a minor of the first tableau
+    (Edmonds 1967), and Hadamard's inequality bounds every minor by the
+    product of the row norms, each at least 1, so W is one bit more than
+    that product needs and no lane overflows.  A pivot on (r, s) replaces
+    every other row R_i by (R_i * piv - f * R_r) // den, f = t_is: each
+    lane of R_i * piv - f * R_r is divisible by den, so the division is
+    exact lane by lane, and the quotient is again a row of lanes in range.
+    The lanes are read after adding 2^(W - 1) to each, which keeps every
+    lane nonnegative: Bland's entering column is the lowest set bit of the
+    mask of the positive lanes of the objective row, and the ratio test
+    reads the lanes of the entering and right-hand-side columns of each
+    row.  The pivots, the basis and the certificate are those of the same
+    simplex on lists of entries.
     """
     cols = list(rows) + list(cone)
     n = len(cols)
@@ -391,58 +439,67 @@ def _phase_one(rows, d, cone=()):
     obj = [sum(r) + 1 for r in rows] + [sum(b) for b in cone] + [0] * n_rows + [1]
     tab.append(obj)
 
+    # every row has a nonzero entry, so each ceil(norm) is at least 1
+    bound = math.prod(math.isqrt(sum(map(mul, row, row)) - 1) + 1 for row in tab)
+    W = bound.bit_length() + 1
+    half, lane = 1 << (W - 1), (1 << W) - 1
+    units = [1 << s for s in range(0, W * n_cols, W)]
+    tab = [sum(map(mul, row, units)) for row in tab]
+    ones = ((1 << (W * n_cols)) - 1) // lane
+    bias = half * ones                      # 2^(W - 1) in every lane
+    positive = bias - (half << (W * rhs))   # top bits of every lane but the rhs
+    at_least_one = bias - ones
+    rhs_shift = W * rhs
+
     basis = list(range(art0, art0 + n_rows))
     den = 1
     obj_i = n_rows
 
     for _ in range(_MAX_PIVOTS):
-        obj = tab[obj_i]
-        s = -1
-        for j in range(n_cols - 1):
-            if obj[j] > 0:
-                s = j
-                break
-        if s < 0:
+        hits = (tab[obj_i] + at_least_one) & positive
+        if not hits:
             break
+        s = (hits & -hits).bit_length() // W - 1
+        shift = W * s
+        col = [(((row + bias) >> shift) & lane) - half for row in tab]
         # Ratio test, ties broken by least basic-variable index (Bland).
         r = -1
         r_rhs = r_piv = 0
         for i in range(n_rows):
-            piv = tab[i][s]
+            piv = col[i]
             if piv <= 0:
                 continue
+            rhs_i = ((tab[i] + bias) >> rhs_shift) - half
             if r < 0:
                 better = True
             else:
-                lhs = tab[i][rhs] * r_piv
+                lhs = rhs_i * r_piv
                 rhs_ = r_rhs * piv
                 better = lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[r])
             if better:
-                r, r_rhs, r_piv = i, tab[i][rhs], piv
+                r, r_rhs, r_piv = i, rhs_i, piv
         if r < 0:
             raise AssertionError("internal error: phase-one objective unbounded")
-        piv = tab[r][s]
+        piv = r_piv
         pivot_row = tab[r]
-        for i in range(n_rows + 1):
+        for i, f in enumerate(col):
             if i == r:
                 continue
-            row = tab[i]
-            f = row[s]
             if f:
-                tab[i] = [(a * piv - f * b) // den for a, b in zip(row, pivot_row)]
+                tab[i] = (tab[i] * piv - f * pivot_row) // den
             elif piv != den:
-                tab[i] = [(a * piv) // den for a in row]
+                tab[i] = tab[i] * piv // den
         den = piv
         basis[r] = s
     else:
         raise AssertionError("internal error: pivot limit exceeded")
 
-    obj = tab[obj_i]
-    w = obj[rhs]
+    obj = tab[obj_i] + bias
+    w = (obj >> rhs_shift) - half
     if w == 0:
         return None
     # Dual values live under the artificial columns: nums / w separates
     # (w > 0), and so does its multiple by the integer w / gcd(w, nums).
-    nums = [-(obj[art0 + i] + den) for i in range(d)]
+    nums = [-(((obj >> (W * (art0 + i))) & lane) - half + den) for i in range(d)]
     g = math.gcd(w, *nums)
     return tuple(n // g for n in nums)

@@ -127,18 +127,19 @@ def test_generate_is_deterministic(tmp_path):
 
 def test_generate_progress_counts_d5(tmp_path, capsys):
     # candidates: the children within comb.shift_extensions that pass
-    # comb.may_extend, all 111 points
-    # among them vertices; LP calls, and the LP calls that no push, from a
-    # parent certificate or from the child's own point, answered
+    # comb.extensions, all 111 points among them vertices; pushed: the
+    # children a push from a parent certificate certified during the walk;
+    # LP calls: the other points, and by simplex those of them that the
+    # push from the child's own point did not answer
     argv = ["generate", "-d", 5, "--threads", 1, "--layers-dir", tmp_path / "layers"]
     assert run_cli(*argv) == 0
     rows = re.findall(
-        r"(\d+) candidates, (\d+) LP calls, (\d+) by simplex", capsys.readouterr().err
+        r"(\d+) candidates, (\d+) LP calls, (\d+) by simplex, (\d+) pushed, [0-9.]+ seconds",
+        capsys.readouterr().err,
     )
     assert len(rows) == 15
-    assert sum(int(c) for c, _, _ in rows) == 198
-    assert sum(int(n) for _, n, _ in rows) == 111
-    assert sum(int(s) for _, _, s in rows) == 1
+    candidates, lp_calls, by_simplex, pushed = (sum(map(int, col)) for col in zip(*rows))
+    assert (candidates, lp_calls, by_simplex, pushed) == (198, 14, 1, 97)
     argv[-1] = tmp_path / "quiet"
     assert run_cli(*argv, "--quiet") == 0
     assert capsys.readouterr().err == ""

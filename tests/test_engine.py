@@ -122,13 +122,16 @@ def test_worker_count_does_not_change_output(generated):
 
 
 def test_fresh_run_uses_one_capped_pool(monkeypatch, generated, inline_pools):
-    layers, _ = generated(4)
-    got = engine.run(engine.RunConfig(d=4, worker_count=2))
+    # only the points that no walk push certified reach the pool, and a
+    # layer with no such point maps nothing: at d=5, 14 points in 9 layers
+    layers, _ = generated(5)
+    got = engine.run(engine.RunConfig(d=5, worker_count=2))
     assert [layerfile.render(l) for l in got] == [layerfile.render(l) for l in layers]
     (pool,) = inline_pools
     assert pool.max_workers == 2
-    assert pool.mapped > len(layers) - 1  # later layers are split across both workers
-    assert any(n > chunk for n, chunk in pool.chunks)
+    assert pool.mapped == sum(l.lp_calls for l in got) == 14
+    assert len(pool.chunks) == sum(l.lp_calls > 0 for l in got) == 9
+    assert any(n > chunk for n, chunk in pool.chunks)  # split across both workers
     inline_pools.clear()
     engine.run(engine.RunConfig(d=4, worker_count=10_000))
     (pool,) = inline_pools
@@ -140,19 +143,19 @@ def test_fresh_run_uses_one_capped_pool(monkeypatch, generated, inline_pools):
 
 
 def test_progress_counts_do_not_depend_on_worker_count(inline_pools):
-    # one oracle call per sorted point, and the same parent certificates to
-    # push from, whatever the pool size
+    # one oracle call per sorted point that no walk push certified, and the
+    # same pushes in the walk, whatever the pool size
     counts = []
     for workers in (1, 2, 3):
         layers = engine.run(engine.RunConfig(d=5, worker_count=workers))
-        counts.append(
-            [(len(l.entries), l.candidates, l.lp_calls, l.by_simplex) for l in layers[1:]]
-        )
+        counts.append([
+            (len(l.entries), l.candidates, l.lp_calls, l.by_simplex, l.pushed) for l in layers[1:]
+        ])
     assert len(inline_pools) == 2
     assert len(counts[0]) == 15
     assert counts[1] == counts[0] and counts[2] == counts[0]
-    _, candidates, lp_calls, by_simplex = map(sum, zip(*counts[0]))
-    assert (candidates, lp_calls, by_simplex) == (198, 111, 1)
+    _, candidates, lp_calls, by_simplex, pushed = map(sum, zip(*counts[0]))
+    assert (candidates, lp_calls, by_simplex, pushed) == (198, 14, 1, 97)
 
 
 def test_uncertified_parents_send_children_to_the_simplex(generated):
@@ -193,24 +196,44 @@ def test_one_oracle_call_per_sorted_point_is_sound(brute_force_d4):
 def test_point_reached_by_two_masks_gets_no_oracle_call(monkeypatch):
     # parents {7, 11} and {1, 15} both reach (1, 1, 2, 3), by adding 1 and 3:
     # the children {1, 7, 11} and {1, 3, 15} differ, so neither is sent;
-    # {7, 15} reaches (1, 2, 2, 3) alone, so its child {1, 7, 15} is
+    # {7, 15} reaches (1, 2, 2, 3) alone, so its child {1, 7, 15} is.  With
+    # a vector on each parent to push from (none is a vertex, so each push
+    # fails), the walk pushes the first child of the shared point before the
+    # second mask shows up, but not the second, and the oracle still sees
+    # only {1, 7, 15}
     d = 4
     point = (1, 1, 2, 3)
-    parents = engine.LayerRecord(d, 2, tuple(
-        comb.CanonicalVertex(S, core.point_of(S, d), comb.orbit_size(core.point_of(S, d), d))
-        for S in (0b10001000000, 0b100000000000001, 0b100000001000000)
-    ))
-    sent = []
-    real = lp.vertex_feasible
+    masks = (0b10001000000, 0b100000000000001, 0b100000001000000)
+    sent, pushed = [], []
+    real_oracle, real_push = lp.vertex_feasible, lp.push
 
-    def spy(S, d, certs=()):
+    def oracle(S, d):
         sent.append(S)
-        return real(S, d, certs)
+        return real_oracle(S, d)
 
-    monkeypatch.setattr(lp, "vertex_feasible", spy)
-    nxt = engine.expand_layer(parents, engine.RunConfig(d=d))
-    assert sent == [0b100000001000001]
-    assert point not in {e.point for e in nxt.entries}
+    def push(src, g, d):
+        pushed.append(src.parent | (1 << (g - 1)))
+        return real_push(src, g, d)
+
+    monkeypatch.setattr(lp, "vertex_feasible", oracle)
+    monkeypatch.setattr(lp, "push", push)
+    for certificate in (None, (-1, -1, 1, 1)):
+        parents = engine.LayerRecord(d, 2, tuple(
+            comb.CanonicalVertex(S, p, comb.orbit_size(p, d), certificate)
+            for S in masks
+            for p in [core.point_of(S, d)]
+        ))
+        sent.clear()
+        pushed.clear()
+        nxt = engine.expand_layer(parents, engine.RunConfig(d=d))
+        assert sent == [0b100000001000001]
+        assert point not in {e.point for e in nxt.entries}
+        if certificate is None:
+            assert pushed == []
+        else:
+            assert 0b100000000000101 not in pushed  # {1, 3, 15}
+            assert pushed[0] == 0b10001000001       # {1, 7, 11}
+            assert 0b100000001000001 in pushed
 
 
 def test_shard_union_equals_unsharded(generated):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 import pytest
@@ -89,23 +90,35 @@ def test_permutation_equivariance():
         )
 
 
-def test_reduced_oracle_matches_full_rows_exhaustive_d4(brute_force_d4):
+def test_reduced_oracle_matches_full_rows_exhaustive_d4(monkeypatch, brute_force_d4):
     # shift-closed subsets get the binding rows plus the cone columns, the
     # rest all rows; either way the verdict is the plain all-rows verdict of
-    # lp.feasibility(signed_rows(S, 4)), which the brute force holds
+    # lp.feasibility(signed_rows(S, 4)), which the brute force holds.  Every
+    # simplex these calls run, one per non-vertex, is also run on the list
+    # tableau (_check_against_lists)
     reduced = 0
-    for S in range(1 << 15):
-        r = lp.vertex_feasible(S, 4)
-        assert r.feasible == (S in brute_force_d4), S
-        if r.feasible:
-            assert lp.verify_certificate(r.certificate, S, 4)
-        reduced += comb.shift_closed(S, 4)
+
+    def exhaustive():
+        nonlocal reduced
+        for S in range(1 << 15):
+            r = lp.vertex_feasible(S, 4)
+            assert r.feasible == (S in brute_force_d4), S
+            if r.feasible:
+                assert lp.verify_certificate(r.certificate, S, 4)
+            reduced += comb.shift_closed(S, 4)
+
+    calls = _phase_one_calls(monkeypatch, exhaustive)
     assert reduced == 400
+    assert _check_against_lists(calls) == (1 << 15) - len(brute_force_d4)
 
 
-def test_brute_force_count_d3():
-    count = sum(lp.vertex_feasible(S, 3).feasible for S in range(1 << 7))
-    assert count == 32
+def test_brute_force_count_d3(monkeypatch):
+    calls = _phase_one_calls(
+        monkeypatch,
+        lambda: [lp.vertex_feasible(S, d).feasible for d in (2, 3) for S in range(1 << ((1 << d) - 1))],
+    )
+    assert sum(lp.vertex_feasible(S, 3).feasible for S in range(1 << 7)) == 32
+    assert _check_against_lists(calls) == (8 - 6) + (128 - 32)
 
 
 def test_feasibility_rejects_bad_input():
@@ -168,9 +181,10 @@ def test_push_only_certifies_vertices_exhaustive_d4(brute_force_d4):
     pushed = unbounded = 0
     for P in brute_force_d4:
         cert = lp.feasibility(lp.signed_rows(P, d)).certificate
+        src = lp.push_source(cert, P, d)
         for g in core.generators_of(core.full_mask(d) & ~P):
             S = P | (1 << (g - 1))
-            c = lp._push(cert, g, S, d)
+            c = lp.push(src, g, d)
             interval = _push_interval_all_rows(cert, g, S, d)
             assert (c is not None) == (interval is not None), (P, g)
             if c is not None:
@@ -243,9 +257,10 @@ def test_lanes_exact_at_every_width_boundary():
     # 2^(8k - 1), the largest lane magnitude for k bytes: one that puts
     # every coordinate on the same side reaches -(sum|c_i| + den) and
     # sum|c_i| + den - 1 on the all-ones row, the ends of the lane range.
-    # Sign strings and the all-rows check match the row loop for every S
-    # at d <= 3, and at d = 4 for the subset c separates and each subset
-    # one row away from it
+    # The masked compare (x + 2^(8k - 1) - t) & top, the sign test of
+    # _separates and push, gives the top bits of the rows at least t, and
+    # the all-rows check matches the row loop for every S at d <= 3, and at
+    # d = 4 for the subset c separates and each subset one row away from it
     for k in (1, 2, 3):
         for bound in ((1 << (8 * k - 1)) + off for off in (-1, 0, 1)):
             for d in (2, 3, 4):
@@ -257,9 +272,12 @@ def test_lanes_exact_at_every_width_boundary():
                         vecs = core.generator_vectors(d)[1:]
                         for t in (den, 1 - den, 0, 1):
                             width = lp._lane_width(sum(map(abs, c)) + abs(t))
-                            x = sum(map(mul, c, lp._lanes(d, width)[0]))
-                            want = bytes(b"01"[sum(map(mul, c, v)) >= t] for v in vecs)
-                            assert lp._signs(x, t, width, d) == want, (k, bound, d, c, t)
+                            cols, ones, top = lp._lanes(d, width)
+                            x = sum(map(mul, c, cols))
+                            rows = [h for h, v in enumerate(vecs, 1) if sum(map(mul, c, v)) >= t]
+                            want = sum(1 << (8 * width * h - 1) for h in rows)
+                            assert lp._top_bits(core.mask_of(rows), d, width) == want
+                            assert (x + top - t * ones) & top == want, (k, bound, d, c, t)
                         own = sum(1 << h for h, v in enumerate(vecs) if sum(map(mul, c, v)) >= den)
                         subsets = (
                             range(1 << m) if d < 4 else [own] + [own ^ (1 << h) for h in range(m)]
@@ -308,36 +326,34 @@ def test_verify_certificate_large_denominators():
     assert checked >= 20
 
 
-def _oracle_calls(monkeypatch, d):
-    """(S, parents) of every oracle call of a fresh run at d."""
-    calls = []
-    oracle = lp.vertex_feasible
+def _walk_pushes(monkeypatch, d, start=None):
+    """(push source, g, result) of every push the walk of a run at d makes,
+    fresh or from the layer ``start``."""
+    pushes = []
+    real = lp.push
 
-    def recording(S, d, parents=()):
-        calls.append((S, list(parents)))
-        return oracle(S, d, parents)
+    def recording(src, g, d):
+        got = real(src, g, d)
+        pushes.append((src, g, got))
+        return got
 
-    monkeypatch.setattr(lp, "vertex_feasible", recording)
-    engine.run(engine.RunConfig(d=d))
-    monkeypatch.setattr(lp, "vertex_feasible", oracle)
-    return calls
+    monkeypatch.setattr(lp, "push", recording)
+    list(engine.generate(engine.RunConfig(d=d), start))
+    monkeypatch.setattr(lp, "push", real)
+    return pushes
 
 
-@pytest.mark.parametrize("d, calls, pairs, certified", [(5, 111, 197, 143), (6, 1511, 3786, 2311)])
-def test_push_matches_row_scan_on_engine_pairs(monkeypatch, d, calls, pairs, certified):
-    # every (parent certificate, g) pair a run passes to the oracle, not only
-    # those tried before the first success: the lane search returns exactly
-    # what the scan of the rows meeting g and the simplest rational return
-    recorded = _oracle_calls(monkeypatch, d)
-    assert len(recorded) == calls
-    tried = pushed = 0
-    for S, parents in recorded:
-        for c, g in parents:
-            got = lp._push(c, g, S, d)
-            assert got == _push_by_scan(c, g, S, d), (S, c, g)
-            tried += 1
-            pushed += got is not None
-    assert (tried, pushed) == (pairs, certified)
+@pytest.mark.parametrize("d, tried, certified", [(5, 142, 97), (6, 2299, 1329)])
+def test_walk_pushes_match_row_scan(monkeypatch, d, tried, certified):
+    # every push the walk makes, the failing ones included: the masked
+    # lane search returns exactly what the scan of the rows meeting g and
+    # the simplest rational return
+    pushes = _walk_pushes(monkeypatch, d)
+    for src, g, got in pushes:
+        assert src.parent >> (g - 1) & 1 == 0
+        S = src.parent | (1 << (g - 1))
+        assert got == _push_by_scan(src.certificate, g, S, d), (S, src.certificate, g)
+    assert (len(pushes), sum(got is not None for _, _, got in pushes)) == (tried, certified)
 
 
 def test_push_from_a_wrong_certificate_is_sound():
@@ -362,9 +378,10 @@ def test_push_from_a_wrong_certificate_is_sound():
             cases.append((c, g, S, d))
     returned = 0
     for c, g, S, d in cases:
-        if lp.verify_certificate(c, S & ~(1 << (g - 1)), d):
+        P = S & ~(1 << (g - 1))
+        if lp.verify_certificate(c, P, d):
             continue
-        got = lp._push(c, g, S, d)
+        got = lp.push(lp.push_source(c, P, d), g, d)
         if got is not None:
             assert lp.verify_certificate(got, S, d), (d, S, c, g)
             assert _separates_by_rows(got, 1, S, d)
@@ -389,63 +406,68 @@ def test_simplest_between_exhaustive():
 
 
 def test_pushed_verdicts_match_plain_lp_d5(monkeypatch):
-    # every oracle call of a d=5 run against lp.feasibility on all rows;
-    # all but 1 call are answered by a push from a parent certificate or
-    # from the child's own point, not by the simplex
+    # every entry of a d=5 run, pushed in the walk or decided by the oracle,
+    # and every oracle verdict, against lp.feasibility on all rows; 97
+    # children are certified by a walk push, and of the 14 oracle calls
+    # all but 1 are answered by the point push, not by the simplex
     calls = []
     oracle = lp.vertex_feasible
 
-    def recording(S, d, parents=()):
-        r = oracle(S, d, parents)
+    def recording(S, d):
+        r = oracle(S, d)
         calls.append((S, r))
         return r
 
     monkeypatch.setattr(lp, "vertex_feasible", recording)
-    engine.run(engine.RunConfig(d=5))
-    assert len(calls) == 111
+    layers = engine.run(engine.RunConfig(d=5))
+    assert len(calls) == 14
     for S, r in calls:
         assert r.feasible == lp.feasibility(lp.signed_rows(S, 5)).feasible, S
-        if r.feasible:
-            assert lp.verify_certificate(r.certificate, S, 5)
-            # pushed and simplex certificates alike are integers
-            assert all(type(x) is int for x in r.certificate), S
     assert sum(r.by_simplex for _, r in calls) == 1
+    entries = [e for layer in layers[1:] for e in layer.entries]
+    assert len(entries) == 111
+    for e in entries:
+        assert lp.feasibility(lp.signed_rows(e.subset, 5)).feasible, e.subset
+        assert lp.verify_certificate(e.certificate, e.subset, 5)
+        # pushed and simplex certificates alike are integers
+        assert all(type(x) is int for x in e.certificate), e.subset
+    assert sum(layer.pushed for layer in layers) == 111 - sum(r.feasible for _, r in calls) == 97
 
 
 def test_pushed_certificate_is_integer_and_pushes_again():
     d = 3
     P = core.mask_of([1, 3])
     S = P | (1 << (5 - 1))  # U3^2: {1,3,5}, point (1,1,3)
-    r = lp.vertex_feasible(S, d, [(lp.vertex_feasible(P, d).certificate, 5)])
-    assert r.feasible and not r.by_simplex
-    assert all(type(x) is int for x in r.certificate)
-    assert lp.verify_certificate(r.certificate, S, d)
+    c = lp.push(lp.push_source(lp.vertex_feasible(P, d).certificate, P, d), 5, d)
+    assert all(type(x) is int for x in c)
+    assert lp.verify_certificate(c, S, d)
     # an integer certificate is pushed from again: {1,3,5,7}, point (2,2,4)
     T = S | (1 << (7 - 1))
-    again = lp.vertex_feasible(T, d, [(r.certificate, 7)])
-    assert again.feasible and not again.by_simplex
-    assert all(type(x) is int for x in again.certificate)
-    assert lp.verify_certificate(again.certificate, T, d)
+    again = lp.push(lp.push_source(c, S, d), 7, d)
+    assert all(type(x) is int for x in again)
+    assert lp.verify_certificate(again, T, d)
 
 
 def test_vertex_feasible_tries_every_parent_then_the_simplex():
     # a d=5 vertex whose point push fails (at d <= 4 none does), point
-    # (1,5,5,8,9); the push from parent P = S - {6} along 6 succeeds
+    # (1,5,5,8,9): the push from parent P = S - {6} along 6 succeeds, the
+    # push from a vector that does not certify P fails, and the oracle,
+    # which takes no parent, decides S by the simplex
     d = 5
     S = core.mask_of([1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 15, 19])
     P = S & ~(1 << (6 - 1))
-    assert lp._point_push(S, d) is None
-    c = lp.vertex_feasible(P, d).certificate
+    assert lp._point_push(S, d, lp._binding(S, d)) is None
+    c = lp.push(lp.push_source(lp.vertex_feasible(P, d).certificate, P, d), 6, d)
+    assert lp.verify_certificate(c, S, d)
     ones = (1,) * d  # certifies the whole generator set, not P
-    r = lp.vertex_feasible(S, d, [(ones, 6), (c, 6)])
-    assert r.feasible and not r.by_simplex
-    assert lp.verify_certificate(r.certificate, S, d)
-    r = lp.vertex_feasible(S, d, [(ones, 6)])
+    assert lp.push(lp.push_source(ones, P, d), 6, d) is None
+    r = lp.vertex_feasible(S, d)
     assert r.feasible and r.by_simplex
     assert lp.verify_certificate(r.certificate, S, d)
     # a push never decides a non-vertex: {1, 2} is none
     d = 3
-    r = lp.vertex_feasible(core.mask_of([1, 2]), d, [(lp.vertex_feasible(1, d).certificate, 2)])
+    assert lp.push(lp.push_source(lp.vertex_feasible(1, d).certificate, 1, d), 2, d) is None
+    r = lp.vertex_feasible(core.mask_of([1, 2]), d)
     assert not r.feasible and r.by_simplex
 
 
@@ -467,7 +489,7 @@ def test_point_push_only_certifies_vertices_exhaustive(generated):
     # over all rows is open, only for a vertex of the all-rows oracle, and it
     # separates on all rows
     def check(S, d):
-        c = lp._point_push(S, d)
+        c = lp._point_push(S, d, core.full_mask(d))
         assert (c is not None) == _point_interval_is_open(S, d), (d, S)
         if c is None:
             return 0
@@ -490,3 +512,212 @@ def test_point_push_only_certifies_vertices_exhaustive(generated):
     assert len(children) == 111
     # all 111 children are vertices; the point push misses 7 of them
     assert sum(check(S, d) for S in children) == 104
+
+
+def test_point_push_binding_rows_give_the_all_rows_interval(monkeypatch):
+    # for a shift-closed S, the lam interval of the binding rows is the one
+    # of all rows: at every shift-closed S at d <= 4, and at every point
+    # push of fresh d=5 and d=6 runs
+    def same(S, d):
+        p = core.point_of(S, d)
+        got, want = (
+            lp._point_interval(p, S, rows) for rows in (lp._binding(S, d), core.full_mask(d))
+        )
+        assert (got and _fractions(got)) == (want and _fractions(want)), (d, S)
+
+    closed = 0
+    for d in (2, 3, 4):
+        for S in range(1 << core.generator_count(d)):
+            if comb.shift_closed(S, d):
+                same(S, d)
+                closed += 1
+    assert closed > 400
+    calls = []
+    real = lp._point_push
+
+    def recording(S, d, rows):
+        calls.append((S, d, rows))
+        return real(S, d, rows)
+
+    monkeypatch.setattr(lp, "_point_push", recording)
+    for d in (5, 6):
+        engine.run(engine.RunConfig(d=d))
+    monkeypatch.setattr(lp, "_point_push", real)
+    assert len(calls) == 14 + 182
+    for S, d, rows in calls:
+        assert rows == lp._binding(S, d)
+        same(S, d)
+
+
+def _fractions(interval):
+    """(lo, hi) of an interval from lp._point_interval, hi None when open."""
+    lo_n, lo_d, hi_n, hi_d = interval
+    return Fraction(lo_n, lo_d), (Fraction(hi_n, hi_d) if hi_d else None)
+
+
+def _phase_one_lists(rows, d, cone=()):
+    """The phase-one simplex of lp._phase_one on a tableau of Python lists,
+    one entry per column.  Returns (certificate or None, the Hadamard bound
+    lp._phase_one builds its lane width from, the largest |entry| of any
+    tableau it went through)."""
+    cols = list(rows) + list(cone)
+    n = len(cols)
+    n_rows = d + 1
+    n_cols = n + n_rows + 1
+    rhs = n_cols - 1
+    art0 = n
+    tab = []
+    for i in range(d):
+        row = [col[i] for col in cols] + [0] * (n_rows + 1)
+        row[art0 + i] = 1
+        tab.append(row)
+    conv = [1] * len(rows) + [0] * (len(cone) + n_rows + 1)
+    conv[art0 + d] = 1
+    conv[rhs] = 1
+    tab.append(conv)
+    tab.append([sum(r) + 1 for r in rows] + [sum(b) for b in cone] + [0] * n_rows + [1])
+    bound = math.prod(math.isqrt(sum(x * x for x in row) - 1) + 1 for row in tab)
+    largest = max(map(abs, chain.from_iterable(tab)))
+    basis = list(range(art0, art0 + n_rows))
+    den = 1
+    obj_i = n_rows
+    while True:
+        obj = tab[obj_i]
+        s = next((j for j in range(n_cols - 1) if obj[j] > 0), -1)
+        if s < 0:
+            break
+        r = -1
+        r_rhs = r_piv = 0
+        for i in range(n_rows):
+            piv = tab[i][s]
+            if piv <= 0:
+                continue
+            if r < 0:
+                better = True
+            else:
+                lhs, rhs_ = tab[i][rhs] * r_piv, r_rhs * piv
+                better = lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[r])
+            if better:
+                r, r_rhs, r_piv = i, tab[i][rhs], piv
+        piv = tab[r][s]
+        pivot_row = tab[r]
+        for i in range(n_rows + 1):
+            if i == r:
+                continue
+            row = tab[i]
+            f = row[s]
+            if f:
+                tab[i] = [(a * piv - f * b) // den for a, b in zip(row, pivot_row)]
+            elif piv != den:
+                tab[i] = [(a * piv) // den for a in row]
+        den = piv
+        basis[r] = s
+        largest = max(largest, *map(abs, chain.from_iterable(tab)))
+    obj = tab[obj_i]
+    w = obj[rhs]
+    if w == 0:
+        return None, bound, largest
+    nums = [-(obj[art0 + i] + den) for i in range(d)]
+    g = math.gcd(w, *nums)
+    return tuple(n // g for n in nums), bound, largest
+
+
+def _phase_one_calls(monkeypatch, run):
+    """(rows, d, cone, result) of every lp._phase_one call made by run()."""
+    calls = []
+    real = lp._phase_one
+
+    def recording(rows, d, cone=()):
+        got = real(rows, d, cone)
+        calls.append((rows, d, cone, got))
+        return got
+
+    monkeypatch.setattr(lp, "_phase_one", recording)
+    run()
+    monkeypatch.setattr(lp, "_phase_one", real)
+    return calls
+
+
+def _check_against_lists(calls):
+    for rows, d, cone, got in calls:
+        want, bound, largest = _phase_one_lists(rows, d, cone)
+        assert got == want, (rows, cone)
+        assert largest <= bound, (rows, cone)
+    return len(calls)
+
+
+def test_packed_simplex_matches_list_tableau_on_engine_runs(monkeypatch, generated):
+    # the lane-packed tableau against the list tableau, verdict and
+    # certificate, on every simplex of fresh d=5 and d=6 runs and of d=6
+    # resumed from layer 12, whose parents carry no certificate (the
+    # exhaustive d <= 4 tests check theirs); no list tableau entry exceeds
+    # the bound the lane width is built from
+    fresh = _phase_one_calls(
+        monkeypatch, lambda: [engine.run(engine.RunConfig(d=d)) for d in (5, 6)]
+    )
+    assert _check_against_lists(fresh) == 1 + 47
+    layer = generated(6)[0][12]
+    bare = engine.LayerRecord(6, 12, tuple(
+        comb.CanonicalVertex(e.subset, e.point, e.orbit_size) for e in layer.entries
+    ))
+    resumed = _phase_one_calls(
+        monkeypatch, lambda: list(engine.generate(engine.RunConfig(d=6), bare))
+    )
+    assert _check_against_lists(resumed) == 50
+
+
+def test_packed_simplex_matches_list_tableau_on_general_rows():
+    # random integer rows with entries up to 10^6 in absolute value, with
+    # and without cone columns, feasible and not: the lanes grow to the
+    # Hadamard bound of each tableau, and every verdict and certificate is
+    # the list tableau's
+    rng = random.Random(17)
+    verdicts = set()
+    for trial in range(300):
+        d = rng.randint(2, 5)
+        m = rng.randint(1, 12)
+        top = rng.choice([1, 3, 100, 10**6])
+        rows = [tuple(rng.randint(-top, top) or 1 for _ in range(d)) for _ in range(m)]
+        if trial % 3 == 0:
+            # shift the rows toward one side so that many systems are feasible
+            rows = [tuple(x + top for x in r) for r in rows]
+        cone = lp._cone_columns(d) if trial % 2 else ()
+        got = lp._phase_one(rows, d, cone)
+        want, bound, largest = _phase_one_lists(rows, d, cone)
+        assert got == want, (rows, cone)
+        assert largest <= bound
+        verdicts.add(got is None)
+        if got is not None:
+            assert all(sum(map(mul, got, r)) >= 1 for r in rows)
+            assert all(sum(map(mul, got, b)) >= 0 for b in cone)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_walk_certificates_match_pushes_in_parent_order(generated, d):
+    # the reference gathers, per child point, the (certificate, g) of every
+    # parent that reaches it, in parent order, pushes from them one by one
+    # (by the row scan) and leaves the points that no push certified to the
+    # oracle: every layer the walk builds, certificates included, is the
+    # reference's
+    layers, _ = generated(d)
+    for parent, child in zip(layers, layers[1:]):
+        gathered, ambiguous = {}, set()
+        for e in parent.entries:
+            for g in comb.extensions(e.subset, comb.shift_extensions(e.subset, d), d):
+                p = core.point_increment(e.point, g, d)
+                mask = e.subset | (1 << (g - 1))
+                S, pairs = gathered.setdefault(p, (mask, []))
+                if S != mask:
+                    ambiguous.add(p)
+                if e.certificate is not None:
+                    pairs.append((e.certificate, g))
+        want = []
+        for p in sorted(set(gathered) - ambiguous):
+            S, pairs = gathered[p]
+            c = next(filter(None, (_push_by_scan(c, g, S, d) for c, g in pairs)), None)
+            if c is None:
+                c = lp.vertex_feasible(S, d).certificate
+            if c is not None:
+                want.append((S, p, c))
+        assert [(e.subset, e.point, e.certificate) for e in child.entries] == want, child.k
