@@ -27,17 +27,16 @@ member, free of negative exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb as binom
 
 from . import comb, core, lp
 
 
-@dataclass(frozen=True)
-class DegreeRecord:
-    canonical: comb.CanonicalVertex
-    deg_below: int
-    deg_above: int
+class DegreeRecord(core.Record, namedtuple("DegreeRecord", "canonical deg_below deg_above")):
+    """A ``comb.CanonicalVertex`` with its degrees from below and above."""
+
+    __slots__ = ()
 
     @property
     def degree(self) -> int:

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 failed verification, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -187,7 +186,7 @@ def cmd_generate(args) -> int:
             raise ValueError(f"cannot shard layer {start.k}: the max layer is {cfg.max_layer}")
         i, n = args.shard
         start = engine.LayerRecord(d, start.k, start.entries[i::n])
-        cfg = dataclasses.replace(cfg, max_layer=start.k + 1)
+        cfg = engine.RunConfig(d, start.k + 1, cfg.worker_count)
 
     # the summary needs every layer; a resumed run reads those below its start
     complete = args.shard is None and cfg.max_layer == core.halfway_layer(d)
@@ -287,11 +286,13 @@ def cmd_verify(args) -> int:
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
 
     modes = {args.mode} if args.mode != "all" else {"tables", "bruteforce", "families"}
-    if "bruteforce" in modes and args.mode == "all" and d > 4:
-        modes.discard("bruteforce")
-    if "bruteforce" in modes and d > 4:
-        print(f"error: bruteforce mode needs d <= 4, got {d}", file=sys.stderr)
-        return EXIT_CONFIG
+    # past the d a mode has ground truth for, "all" drops it and the mode itself is refused
+    for mode, top in (("bruteforce", 4), ("tables", max(tables.A_VALUES))):
+        if mode in modes and d > top:
+            if args.mode != "all":
+                print(f"error: {mode} mode needs d <= {top}, got {d}", file=sys.stderr)
+                return EXIT_CONFIG
+            modes.discard(mode)
 
     layers = None
     if modes & {"tables", "bruteforce"}:

@@ -15,25 +15,26 @@ not built that way; the engine calls neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
 from . import core
 
 
-@dataclass(frozen=True)
-class CanonicalVertex:
-    """A canonical vertex: nondecreasing point, plus its orbit size.
+class CanonicalVertex(
+    core.Record,
+    namedtuple("CanonicalVertex", "subset point orbit_size certificate", defaults=(None,)),
+):
+    """A canonical vertex: subset mask, nondecreasing point, orbit size.
 
     ``certificate`` is the integer vector c that proves it a vertex, when
-    the run kept one, and None if it was read from a layer file.
+    the run kept one, and None if it was read from a layer file; equality
+    and hashing ignore it.
     """
 
-    subset: int
-    point: tuple[int, ...]
-    orbit_size: int
-    certificate: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ()
+    _compared = 3
 
 
 @lru_cache(maxsize=None)

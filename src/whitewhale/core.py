@@ -19,6 +19,29 @@ MIN_DIMENSION = 2
 MAX_DIMENSION = 16
 
 
+class Record:
+    """Base of the package's records, put before a ``collections.namedtuple``.
+
+    ==, != and hash read only the first ``_compared`` fields (all when
+    None), and a record equals only records of its own class.  A subclass
+    sets ``__slots__ = ()`` too, so it has no attribute dict and no field
+    or other attribute can be set on it.
+    """
+
+    __slots__ = ()
+    _compared = None
+
+    def __eq__(self, other):
+        n = self._compared
+        return other.__class__ is self.__class__ and self[:n] == other[:n]
+
+    def __ne__(self, other):  # tuple.__ne__ would compare every field
+        return not self.__eq__(other)
+
+    def __hash__(self):
+        return hash(self[: self._compared])
+
+
 def check_dimension(d: int) -> int:
     if not MIN_DIMENSION <= d <= MAX_DIMENSION:
         raise ValueError(f"dimension must be in [{MIN_DIMENSION}, {MAX_DIMENSION}], got {d}")

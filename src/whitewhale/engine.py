@@ -30,45 +30,47 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import comb, core, lp
 
 
-@dataclass(frozen=True)
-class LayerRecord:
-    """All canonical vertices at a fixed subset cardinality k."""
+class LayerRecord(
+    core.Record,
+    namedtuple("LayerRecord", "d k entries candidates lp_calls by_simplex pushed seconds",
+               defaults=(0, 0, 0, 0, 0.0)),
+):
+    """All canonical vertices (a tuple of ``comb.CanonicalVertex``) at a
+    fixed subset cardinality k.
 
-    d: int
-    k: int
-    entries: tuple[comb.CanonicalVertex, ...]
-    # the counts of the layer step that made the record; 0 on any other record
-    candidates: int = field(default=0, compare=False)
-    lp_calls: int = field(default=0, compare=False)
-    by_simplex: int = field(default=0, compare=False)
-    pushed: int = field(default=0, compare=False)
-    seconds: float = field(default=0.0, compare=False)
+    The five fields after ``entries`` are the counts of the layer step that
+    made the record, 0 on any other record; equality and hashing ignore them.
+    """
+
+    __slots__ = ()
+    _compared = 3
 
     @property
     def orbit_sum(self) -> int:
         return sum(e.orbit_size for e in self.entries)
 
 
-@dataclass
-class RunConfig:
-    d: int
-    max_layer: int | None = None          # default: the halfway layer 2^{d-1} - 1
-    worker_count: int = 1
+class RunConfig(core.Record, namedtuple("RunConfig", "d max_layer worker_count")):
+    """The dimension, the top layer (default: the halfway layer 2^{d-1} - 1)
+    and the worker count of a run; ValueError on any out of range."""
 
-    def __post_init__(self):
-        core.check_dimension(self.d)
-        top = core.halfway_layer(self.d)
-        if self.max_layer is None:
-            self.max_layer = top
-        if not 0 <= self.max_layer <= top:
-            raise ValueError(f"max_layer must be in [0, {top}], got {self.max_layer}")
-        if self.worker_count < 1:
+    __slots__ = ()
+
+    def __new__(cls, d: int, max_layer: int | None = None, worker_count: int = 1):
+        core.check_dimension(d)
+        top = core.halfway_layer(d)
+        if max_layer is None:
+            max_layer = top
+        if not 0 <= max_layer <= top:
+            raise ValueError(f"max_layer must be in [0, {top}], got {max_layer}")
+        if worker_count < 1:
             raise ValueError("worker_count must be positive")
+        return super().__new__(cls, d, max_layer, worker_count)
 
 
 def layer_zero(d: int) -> LayerRecord:

@@ -50,25 +50,24 @@ next push starts from it as it is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 from operator import mul
-from typing import NamedTuple
 
 from . import comb, core
 
 _MAX_PIVOTS = 100_000
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(
+    core.Record,
+    namedtuple("FeasibilityResult", "feasible certificate by_simplex", defaults=(None, True)),
+):
     """The verdict, and when feasible an integer vector c with c.g >= 1 on S
-    and <= -1 outside."""
+    and <= -1 outside; ``by_simplex`` is False when the point push answered."""
 
-    feasible: bool
-    certificate: tuple[int, ...] | None = None
-    by_simplex: bool = True  # False when the point push answered
+    __slots__ = ()
 
 
 def feasibility(rows) -> FeasibilityResult:
@@ -208,14 +207,13 @@ def _separates(nums, den, S: int, d: int) -> bool:
     return (x - den * ones) & top == want and (x + (den - 1) * ones) & top == want
 
 
-class PushSource(NamedTuple):
-    """What every push from one parent vertex P shares (see ``push_source``)."""
+class PushSource(namedtuple("PushSource", "certificate parent k lanes want")):
+    """What every push from one parent vertex P shares (see ``push_source``):
+    c_P, the mask of P, the lane width k in bytes, the lanes holding c_P.h
+    in lane h - 1 for every generator h, and the top bit of the lane of
+    each member of P."""
 
-    certificate: tuple[int, ...]  # c_P
-    parent: int                   # the mask of P
-    k: int                        # lane width in bytes
-    lanes: int                    # c_P.h in lane h - 1, for every generator h
-    want: int                     # the top bit of the lane of each member of P
+    __slots__ = ()
 
 
 def push_source(c, P: int, d: int) -> PushSource:

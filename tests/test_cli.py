@@ -386,7 +386,8 @@ def test_resume_past_max_layer_is_config_error(tmp_path):
 
 # Loaded only by the commands or the worker count that need them.
 DEFERRED_MODULES = {
-    "concurrent.futures", "multiprocessing", "fractions", "decimal", "csv", "whitewhale.tables"
+    "concurrent.futures", "multiprocessing", "fractions", "decimal", "csv", "whitewhale.tables",
+    "dataclasses", "inspect",
 }
 # Every module perfbench/spans.py patches, which it finds as attributes of the package.
 TRACED_MODULES = {
@@ -595,3 +596,27 @@ def test_verify_reads_the_layer_files(tmp_path, capsys):
 
 def test_verify_cli_bruteforce_needs_small_d(tmp_path):
     assert run_cli("verify", "-d", 5, "--mode", "bruteforce") == cli.EXIT_CONFIG
+
+
+def test_verify_tables_beyond_the_ground_truth(tmp_path, capsys, monkeypatch):
+    # the tables hold a(d) and o(d) up to d = 9; at d = 10 an explicit
+    # --mode tables is refused before any file is read
+    assert max(tables.A_VALUES) == 9
+    assert (
+        run_cli("verify", "-d", 10, "--mode", "tables", "--layers-dir", tmp_path / "none")
+        == cli.EXIT_CONFIG
+    )
+    assert "tables mode needs d <= 9, got 10" in capsys.readouterr().err
+    # and "all" runs only the family checks there, even with every layer file present
+    for k in range(core.halfway_layer(10) + 1):
+        path = layerfile.layer_path(str(tmp_path), 10, k)
+        layerfile.write_layer(path, engine.LayerRecord(10, k, ()))
+    # the oracle degree checks of the U family take over a minute at d = 10
+    monkeypatch.setattr(analytics, "family_degree_check", lambda d, k: None)
+    assert run_cli("verify", "-d", 10, "--mode", "all", "--layers-dir", tmp_path) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(" d=")[0] for line in out] == [
+        "U-family closed-form points and degrees",
+        "U-family closed-form certificates",
+        "W-family vertices and closed-form points",
+    ]
