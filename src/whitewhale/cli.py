@@ -57,11 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume-from", type=int, default=None, metavar="K")
     p.add_argument("--store-certificates", action="store_true")
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")
-    p.add_argument(
-        "--i-know",
-        action="store_true",
-        help="allow d >= 8 (months of compute; not desk-scale)",
-    )
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("edges", help="count edges from completed layers")
@@ -155,13 +150,6 @@ def _read_all_layers(layers_dir: str, d: int, stop: int) -> list[engine.LayerRec
 
 def cmd_generate(args) -> int:
     d = args.d
-    if d >= 8 and not args.i_know:
-        print(
-            f"error: d={d} is not desk-scale (the published run took months); "
-            "pass --i-know to proceed",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
     cfg = engine.RunConfig(d=d, max_layer=args.max_layer, worker_count=args.threads)
     os.makedirs(args.layers_dir, exist_ok=True)
     summary = _load_summary(args.layers_dir, d)

@@ -39,12 +39,12 @@ parent, then ``push``): the least-denominator point of the line
 c_P + tau * g that puts every row on its side, checked on all rows, so a
 push can only confirm a vertex.  Parents are tried in walk order, and the
 first push that succeeds certifies the child.  ``vertex_feasible`` decides
-the rest: a point push searches the line p(S) - lam * (1, ..., 1) through
-the point of S itself, its first-order Chow parameters, and only a subset
-whose point push fails goes to the simplex: 47 of the 182 oracle calls of
-a d = 6 run, whose walk pushes certify 1,329 children.  Every
-certificate, pushed or from the simplex, is an integer vector, so the
-next push starts from it as it is.
+the rest: a point push is the same search (``_search``) on the line
+p(S) + tau * (1, ..., 1) through the point of S itself, its first-order
+Chow parameters, and only a subset whose point push fails goes to the
+simplex: 47 of the 182 oracle calls of a d = 6 run, whose walk pushes
+certify 1,329 children.  Every certificate, pushed or from the simplex, is
+an integer vector, so the next push starts from it as it is.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ def feasibility(rows) -> FeasibilityResult:
 def vertex_feasible(S: int, d: int) -> FeasibilityResult:
     """Vertex test for a subset mask over the full White Whale generator set.
 
-    First ``_point_push`` tries the line through the point of S.  A
+    First ``_point_push`` searches the line through the point of S along
+    (1, ..., 1), with the search of a parent push (``_search``).  A
     certificate it returns has passed the all-rows check, so it proves S a
     vertex: a push never decides a non-vertex, it only spares the simplex
     on a vertex.  The engine calls this only for the children that no
@@ -105,9 +106,10 @@ def vertex_feasible(S: int, d: int) -> FeasibilityResult:
     cone columns e_{i+1} - e_i, which force c to be nondecreasing, and
     keeps only the rows that can bind for such c (``_binding``): the
     shift-minimal members and the shift-maximal non-members (every other
-    row is implied).  The point push scans the same rows.  Any other S
-    runs on all of ``signed_rows(S, d)``.  The certificate is re-verified
-    on all 2^d - 1 rows in exact integer arithmetic.
+    row is implied).  The point push takes its lower end from the same
+    rows.  Any other S runs on all of ``signed_rows(S, d)``.  The
+    certificate is re-verified on all 2^d - 1 rows in exact integer
+    arithmetic.
     """
     core.check_dimension(d)
     closed = comb.shift_closed(S, d)
@@ -208,62 +210,80 @@ def _separates(nums, den, S: int, d: int) -> bool:
 
 
 class PushSource(namedtuple("PushSource", "certificate parent k lanes want")):
-    """What every push from one parent vertex P shares (see ``push_source``):
-    c_P, the mask of P, the lane width k in bytes, the lanes holding c_P.h
-    in lane h - 1 for every generator h, and the top bit of the lane of
-    each member of P."""
+    """What every push from one integer vector c shares (see ``push_source``):
+    c, a mask P, the lane width k in bytes, the lanes holding c.h in lane
+    h - 1 for every generator h, and the top bit of the lane of each member
+    of P."""
 
     __slots__ = ()
 
 
 def push_source(c, P: int, d: int) -> PushSource:
-    """The push source of the parent vertex P with integer certificate c.
+    """The push source of the integer vector c and the mask P.
 
-    Its lanes are k bytes wide with d (4 sum|c_i| + 1) + 1 < 2^(8k - 1),
-    which covers the push along every generator g, since |g| <= d (see
-    ``push``).  It holds the lanes of c and the top bits of the members of
-    P, computed once for all the children of P."""
-    k = _lane_width(d * (4 * sum(map(abs, c)) + 1) + 1)
+    c is a certificate of the parent vertex P for ``push``, or the point of
+    P itself for ``_point_push``.  The lanes are k bytes wide with
+    (d + 1)^2 C + d + 1 < 2^(8k - 1), C = sum|c_i|, which covers the search
+    (``_search``) along every generator g from every lower-end row h with
+    g.h = |h|: g = h in a push, g = (1, ..., 1) in a point push.  Every lane
+    the search tests is x = b c.y + a g.y, or q c.y + p g.y - t with t 0 or
+    1, for a row y, where a = -c.h, b = g.h = |h|, m = |g| >= g.y,
+    1 <= q <= b + m and p = floor(q a / b) + 1.  So |c.y|, |a| <= C,
+    |p| <= q C / b + 1, and |x| <= q C + (q C / b + 1) m + 1
+    <= (b + m)^2 C / b + m + 1 (the first form is at most (b + m) C).
+    (b + m)^2 / b is convex in b, so on 1 <= b <= m it is largest at b = 1
+    or at b = m, and m <= d: it is at most (d + 1)^2 for the point push and
+    4 m <= (d + 1)^2 for a push.  The lanes of c and the top bits of the
+    members of P are computed once for all the pushes from c.
+    """
+    k = _lane_width((d + 1) ** 2 * sum(map(abs, c)) + d + 1)
     return PushSource(c, P, k, sum(map(mul, c, _lanes(d, k)[0])), _top_bits(P, d, k))
 
 
 def push(src: PushSource, g: int, d: int) -> tuple[int, ...] | None:
     """An integer certificate of S = P + {g} on the line c_P + tau * g, or None.
 
-    src = ``push_source(c_P, P, d)``, and g is not in P.  Row h asks for
-    c_P.h + tau * g.h > 0 if h is in S and < 0 if not, and g.h >= 0, so
-    only the rows with g.h > 0 move with tau.  Row g bounds tau from
-    below: tau > lo = a / b with a = -c_P.g and b = |g|.  If c_P certifies
-    P, every other member h of S lies in P, so c_P.h >= 1, and any tau > 0
-    keeps its row positive, and the non-members meeting g bound tau from
-    above, by hi.  So the interval (lo, hi) is non-empty exactly when every
-    row has its sign at tau = lo, row g at 0 counted as positive: one
-    masked compare of the lanes of b * c_P + a * g with the top bits of S,
-    (x + 2^(8k - 1)) & top == want_P | topbit(g), with no row scan.  If it
-    matches, tau = p / q runs through q = 1, 2, ... with p = floor(q * lo)
-    + 1, the least p / q above lo, and the first q * c_P + p * g with every
-    row on its side is the least-denominator rational in the interval, the
-    one ``_simplest_between`` would give.  The mediant of lo and the
-    binding hi = -c_P.h / g.h lies in the interval, with denominator
-    b + g.h <= 2 b, so the search ends by q = 2 b (at q = 1 if no
-    non-member meets g).  That vector gets the margin check (every row at
-    least 1 away from 0, which with a valid c_P always holds) and is
-    divided by its gcd.  Every test is exact on all 2^d - 1 rows, so
-    whatever c_P is, a returned vector certifies S.
+    src = ``push_source(c_P, P, d)``, and g is not in P: the search
+    (``_search``) along g from row g.  If c_P certifies P, every other
+    member h of S lies in P, so c_P.h >= 1, and any tau > 0 keeps its row
+    positive; the non-members meeting g bound tau from above, and the
+    mediant of the two ends has a denominator of at most 2 |g|.
+    """
+    return _search(src, g, g, d)
 
-    Every lane tested here stays below 2^(8k - 1) in magnitude: it is a
-    row value minus t, with t 0 or 1, |a| <= sum|c_P|, g.h <= b, q <= 2 b
-    and |p| <= 2 |a| + 1, so at most b (4 sum|c_P| + 1) + 1, and b <= d.
+
+def _search(src: PushSource, g: int, h: int, d: int) -> tuple[int, ...] | None:
+    """An integer certificate of S = P + {h} on the line c + tau * g, or None.
+
+    src = ``push_source(c, P, d)``, g is the direction (a generator id) and
+    h the member row that bounds tau from below.  Row y asks for c.y + tau
+    * g.y > 0 if y is in S and < 0 if not, and g.y >= 0, so only the rows
+    with g.y > 0 move with tau.  Row h is at 0 at tau = lo = a / b, a =
+    -c.h, b = g.h.  When row h is the binding lower end (no other member
+    needs tau above lo), the interval (lo, hi) is non-empty exactly when
+    every row has its sign at tau = lo, row h at 0 counted as positive:
+    one masked compare of the lanes of b * c + a * g with the top bits of
+    S, (x + 2^(8k - 1)) & top == want_P | topbit(h), with no row scan.  If
+    it matches, tau = p / q runs through q = 1, 2, ... with p = floor(q *
+    lo) + 1, the least p / q above lo, and the first q * c + p * g with
+    every row on its side is the least-denominator rational in the
+    interval, with the least numerator when q = 1.  The mediant of lo and
+    the binding hi = -c.y / g.y lies in the interval, with denominator
+    b + g.y <= b + |g|, so the search ends by q = b + |g| (at q = 1 if no
+    non-member meets g).  That vector gets the margin check (every row at
+    least 1 away from 0) and is divided by its gcd.  Every test is exact on
+    all 2^d - 1 rows, so whatever c is, a returned vector certifies S.
     """
     nums, _, k, lanes_c, want = src
     cols, ones, top = _lanes(d, k)
-    v = core.generator_vectors(d)[g]
-    a, b = -sum(compress(nums, v)), g.bit_count()
+    vectors = core.generator_vectors(d)
+    v = vectors[g]
+    a, b = -sum(compress(nums, vectors[h])), (g & h).bit_count()
     lanes_g = sum(compress(cols, v))
-    want |= 1 << (8 * k * g - 1)
+    want |= 1 << (8 * k * h - 1)
     if (b * lanes_c + a * lanes_g + top) & top != want:
         return None
-    for q in range(1, 2 * b + 1):
+    for q in range(1, b + g.bit_count() + 1):
         p = q * a // b + 1
         x = q * lanes_c + p * lanes_g + top
         if x & top == want:
@@ -275,76 +295,32 @@ def push(src: PushSource, g: int, d: int) -> tuple[int, ...] | None:
     return None
 
 
-def _point_interval(p, S: int, rows: int) -> tuple[int, int, int, int] | None:
-    """The open lam interval (lo_n / lo_d, hi_n / hi_d) that puts the rows in
-    the mask ``rows`` on their side of the line p - lam * (1, ..., 1), or
-    None when it is empty; hi_d = 0 means no member bounds it from above.
-
-    Row h asks for p.h - lam * |h| > 0 if h is in S and < 0 if not, so
-    every member bounds lam from above and every non-member from below;
-    p >= 0 makes every lower end at least 0, which is where the interval
-    starts, and the scan stops at the first row that empties it.
-    """
-    dot = core.subset_sums(p)
-    lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 0
-    for h in core.generators_of(rows):
-        b = h.bit_count()
-        if (S >> (h - 1)) & 1:
-            if dot[h] * hi_d >= hi_n * b:
-                continue
-            hi_n, hi_d = dot[h], b
-        elif dot[h] * lo_d > lo_n * b:
-            lo_n, lo_d = dot[h], b
-        else:
-            continue
-        if lo_n * hi_d >= hi_n * lo_d:
-            return None
-    return lo_n, lo_d, hi_n, hi_d
-
-
 def _point_push(S: int, d: int, rows: int) -> tuple[int, ...] | None:
-    """An integer certificate of S on the line p - lam * (1, ..., 1), or None.
+    """An integer certificate of S on the line p + tau * (1, ..., 1), or None.
 
-    p = p(S) is the point of S, and lam is bounded by the rows in the mask
-    ``rows`` (``_point_interval``): all rows, or for a shift-closed S its
-    binding rows (``_binding``).  Those give the same interval.  p is
-    nondecreasing, and moving a 1 of h to an earlier coordinate cannot
-    raise p.h while |h| stays, so the least p.h / |h| over members lies on
-    a shift-minimal member and the greatest over non-members on a
-    shift-maximal non-member.  Then the simplest rational lam = r / q in
-    the interval (``_simplest_between``) gives the integer c = (q * p - r *
-    (1, ..., 1)) / gcd, returned if it passes the all-rows check
-    ``_separates``.  No parent certificate is needed.
+    p = p(S) is the point of S, and the line is searched (``_search``) from
+    ``push_source(p, S, d)`` along the all-ones generator.  Row h asks for
+    p.h + tau * |h| > 0 if h is in S and < 0 if not, so every member bounds
+    tau from below by -p.h / |h|, and the search starts from the member in
+    the mask ``rows`` with the least p.h / |h|: all rows, or for a
+    shift-closed S its binding rows (``_binding``), which hold that member
+    too.  p is nondecreasing, and moving a 1 of h to an earlier coordinate
+    cannot raise p.h while |h| stays, so the least p.h / |h| over members
+    lies on a shift-minimal member.  The key p.h * (L / |h|), L =
+    lcm(1, ..., d), orders the members by p.h / |h| in integers.  No
+    parent certificate is needed.  The empty S has no member and gets
+    (-1, ..., -1).
     """
+    if not S:
+        return (-1,) * d
     p = core.point_of(S, d)
-    interval = _point_interval(p, S, rows)
-    if interval is None:
-        return None
-    r, q = _simplest_between(*interval)
-    c = [q * x - r for x in p]
-    e = math.gcd(*c)
-    c = tuple(x // e for x in c)
-    return c if _separates(c, 1, S, d) else None
-
-
-def _simplest_between(a: int, b: int, c: int, e: int) -> tuple[int, int]:
-    """(p, q) with p / q in the open interval (a / b, c / e) and q least.
-
-    Needs b > 0, e >= 0 (e = 0: no upper end) and a / b < c / e; the
-    result is the simplest rational there when 0 <= a / b, and lies inside
-    in any case.  Each step takes the integer part n of the lower end:
-    n + 1 is the next term if it lies below the upper end, else every x in
-    the interval is n + 1 / y with y in (e / (c - n e), b / (a - n b)).
-    p / q is the last convergent of the continued fraction of these terms,
-    so it is in lowest terms.
-    """
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while True:
-        n = a // b
-        if not e or (n + 1) * e < c:
-            return (n + 1) * p1 + p0, (n + 1) * q1 + q0
-        p0, q0, p1, q1 = p1, q1, n * p1 + p0, n * q1 + q0
-        a, b, c, e = e, c - n * e, b, a - n * b
+    vectors = core.generator_vectors(d)
+    L = math.lcm(*range(1, d + 1))
+    h = min(
+        core.generators_of(rows & S),
+        key=lambda h: sum(compress(p, vectors[h])) * (L // h.bit_count()),
+    )
+    return _search(push_source(p, S, d), core.generator_count(d), h, d)
 
 
 def _lane_width(bound: int) -> int:

@@ -256,8 +256,15 @@ def test_bad_dimension_is_refused_while_parsing(tmp_path, capsys, argv):
     assert not layers_dir.exists()
 
 
-def test_generate_gates_large_dimensions(tmp_path):
-    assert run_cli("generate", "-d", 8, "--layers-dir", tmp_path, "--quiet") == cli.EXIT_CONFIG
+def test_generate_runs_d8_without_a_flag(tmp_path):
+    # d = 8 runs like any other dimension, and the old gate flag is gone:
+    # argparse rejects it with exit code 2
+    args = ("generate", "-d", 8, "--max-layer", 3, "--quiet", "--layers-dir", tmp_path)
+    assert run_cli(*args) == 0
+    assert sorted(p.name for p in tmp_path.glob("layer_d8_k*.www")) == [
+        f"layer_d8_k{k}.www" for k in range(4)
+    ]
+    assert run_cli(*args, "--i-know") == cli.EXIT_CONFIG
 
 
 def test_shard_without_resume_is_config_error(tmp_path):
@@ -431,7 +438,7 @@ def test_option_surface():
     common = {"-h", "--help", "-d", "--layers-dir"}
     assert _options("generate") == common | {
         "--max-layer", "--threads", "--shard", "--resume-from", "--store-certificates",
-        "--quiet", "--i-know",
+        "--quiet",
     }
     assert _options("edges") == common
     assert _options("degrees") == common

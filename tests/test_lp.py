@@ -153,30 +153,61 @@ def _meeting(g, d):
     return [(h, (g & h).bit_count()) for h in range(1, 1 << d) if g & h]
 
 
-def _push_interval_all_rows(nums, g, S, d):
-    """The tau interval (lo, hi) of the line nums + tau * g, from every row
-    meeting g, members and non-members alike; hi is None when no row bounds
-    it from above, and the result is None when it is empty."""
-    dot = core.subset_sums(nums)
-    lo, hi = None, None
-    for h, b in _meeting(g, d):
-        bound = Fraction(-dot[h], b)
-        if (S >> (h - 1)) & 1:
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            hi = bound if hi is None else min(hi, bound)
-    if hi is not None and lo >= hi:
+def _line_interval(c, v, S, d):
+    """The open tau interval (lo, hi) that puts every row on its side of the
+    line c + tau * v, in Fractions: a member y with v.y > 0 bounds tau from
+    below by -c.y / v.y, a non-member from above, and a row with v.y = 0
+    must be on its side already.  lo or hi is None when no row bounds that
+    end, and the result is None when the interval is empty."""
+    lo, hi = [], []
+    for y, w in enumerate(core.generator_vectors(d)[1:], 1):
+        dot, slope, member = sum(map(mul, c, w)), sum(map(mul, v, w)), (S >> (y - 1)) & 1
+        if slope:
+            (lo if member else hi).append(Fraction(-dot, slope))
+        elif (dot <= 0) if member else (dot >= 0):
+            return None
+    lo, hi = max(lo, default=None), min(hi, default=None)
+    if None not in (lo, hi) and lo >= hi:
         return None
     return lo, hi
+
+
+def _least_step(c, v, lo, hi, S, d):
+    """The exact reference of the step search on the line c + tau * v: for
+    the least q with some p / q in (lo, hi) (hi None: no upper end), the
+    least such p, floor(q * lo) + 1.  c + (p / q) * v is checked row by row
+    in Fractions; returns q * c + p * v divided by its gcd, or None when
+    some row is not on its side."""
+    q = 1
+    while hi is not None and Fraction(math.floor(q * lo) + 1, q) >= hi:
+        q += 1
+    p = math.floor(q * lo) + 1
+    tau = Fraction(p, q)
+    for y, w in enumerate(core.generator_vectors(d)[1:], 1):
+        row = sum(map(mul, c, w)) + tau * sum(map(mul, v, w))
+        if (row <= 0) if (S >> (y - 1)) & 1 else (row >= 0):
+            return None
+    line = [q * x + p * y for x, y in zip(c, v)]
+    return tuple(x // math.gcd(*line) for x in line)
+
+
+def _point_push_reference(S, d):
+    """The point push by the reference: the least step on the line
+    p(S) + tau * (1, ..., 1) over all rows; (-1, ..., -1) for the empty S."""
+    if not S:
+        return (-1,) * d
+    p, ones = core.point_of(S, d), (1,) * d
+    interval = _line_interval(p, ones, S, d)
+    return interval and _least_step(p, ones, *interval, S, d)
 
 
 def test_push_only_certifies_vertices_exhaustive_d4(brute_force_d4):
     # from the plain all-rows certificate of every vertex P, push toward
     # P + {g} for every g outside P: a certificate comes back exactly when
-    # the interval over all rows meeting g (members included) is non-empty,
-    # only for a vertex, and it separates on all rows; it lies on the line
-    # at the simplest tau of that interval (the least integer above lo when
-    # no non-member meets g, as for P + {g} the whole generator set)
+    # the interval over all rows (members included) is non-empty, only for
+    # a vertex, and it separates on all rows; it is the reference's least
+    # step in that interval (the least integer above lo when no non-member
+    # meets g, as for P + {g} the whole generator set)
     d = 4
     pushed = unbounded = 0
     for P in brute_force_d4:
@@ -185,18 +216,15 @@ def test_push_only_certifies_vertices_exhaustive_d4(brute_force_d4):
         for g in core.generators_of(core.full_mask(d) & ~P):
             S = P | (1 << (g - 1))
             c = lp.push(src, g, d)
-            interval = _push_interval_all_rows(cert, g, S, d)
+            v = core.generator_vectors(d)[g]
+            interval = _line_interval(cert, v, S, d)
             assert (c is not None) == (interval is not None), (P, g)
             if c is not None:
                 assert S in brute_force_d4, (P, g)
                 assert lp.verify_certificate(c, S, d)
-                lo, hi = interval
-                hi_n, hi_d = (1, 0) if hi is None else (hi.numerator, hi.denominator)
-                p, q = lp._simplest_between(lo.numerator, lo.denominator, hi_n, hi_d)
-                line = [q * n + p * v for n, v in zip(cert, core.generator_vectors(d)[g])]
-                assert c == tuple(x // math.gcd(*line) for x in line), (P, g)
+                assert c == _least_step(cert, v, *interval, S, d), (P, g)
                 pushed += 1
-                unbounded += hi is None
+                unbounded += interval[1] is None
     assert pushed > len(brute_force_d4)
     assert unbounded > 0
 
@@ -212,22 +240,16 @@ def _separates_by_rows(nums, den, S, d):
 
 def _push_by_scan(nums, g, S, d):
     """The push as a scan of the rows meeting g: row g bounds tau from
-    below, the non-members from above, and the simplest rational in the
-    interval gives the integer vector, divided by its gcd and checked on all
-    rows; None when the interval is empty or unbounded."""
+    below, the non-members from above, and the reference's least step in
+    between (``_least_step``) gives the certificate; None when the interval
+    is empty."""
     dot = core.subset_sums(nums)
-    lo_n, lo_d, hi_n, hi_d = -dot[g], g.bit_count(), 1, 0
-    for h, b in _meeting(g, d):
-        if not (S >> (h - 1)) & 1 and -dot[h] * hi_d < hi_n * b:
-            hi_n, hi_d = -dot[h], b
-            if lo_n * hi_d >= hi_n * lo_d:
-                return None
-    if not hi_d:
+    lo = Fraction(-dot[g], g.bit_count())
+    upper = [Fraction(-dot[h], b) for h, b in _meeting(g, d) if not (S >> (h - 1)) & 1]
+    hi = min(upper, default=None)
+    if hi is not None and lo >= hi:
         return None
-    p, q = lp._simplest_between(lo_n, lo_d, hi_n, hi_d)
-    c = [q * n + p * v for n, v in zip(nums, core.generator_vectors(d)[g])]
-    c = tuple(x // math.gcd(*c) for x in c)
-    return c if _separates_by_rows(c, 1, S, d) else None
+    return _least_step(nums, core.generator_vectors(d)[g], lo, hi, S, d)
 
 
 def test_separates_matches_row_loop_every_subset_d4(brute_force_d4):
@@ -326,34 +348,60 @@ def test_verify_certificate_large_denominators():
     assert checked >= 20
 
 
-def _walk_pushes(monkeypatch, d, start=None):
-    """(push source, g, result) of every push the walk of a run at d makes,
-    fresh or from the layer ``start``."""
-    pushes = []
-    real = lp.push
+def _lp_calls(monkeypatch, run, *names):
+    """{name: [(arguments, result), ...]} for every call of each lp.<name>
+    that run() makes."""
+    calls = {name: [] for name in names}
+    reals = {name: getattr(lp, name) for name in names}
+    for name, real in reals.items():
 
-    def recording(src, g, d):
-        got = real(src, g, d)
-        pushes.append((src, g, got))
-        return got
+        def recording(*args, real=real, log=calls[name]):
+            got = real(*args)
+            log.append((args, got))
+            return got
 
-    monkeypatch.setattr(lp, "push", recording)
-    list(engine.generate(engine.RunConfig(d=d), start))
-    monkeypatch.setattr(lp, "push", real)
-    return pushes
+        monkeypatch.setattr(lp, name, recording)
+    run()
+    for name, real in reals.items():
+        monkeypatch.setattr(lp, name, real)
+    return calls
 
 
 @pytest.mark.parametrize("d, tried, certified", [(5, 142, 97), (6, 2299, 1329)])
 def test_walk_pushes_match_row_scan(monkeypatch, d, tried, certified):
     # every push the walk makes, the failing ones included: the masked
     # lane search returns exactly what the scan of the rows meeting g and
-    # the simplest rational return
-    pushes = _walk_pushes(monkeypatch, d)
+    # the reference's least step return
+    calls = _lp_calls(monkeypatch, lambda: engine.run(engine.RunConfig(d=d)), "push")["push"]
+    pushes = [(src, g, got) for (src, g, _), got in calls]
     for src, g, got in pushes:
         assert src.parent >> (g - 1) & 1 == 0
         S = src.parent | (1 << (g - 1))
         assert got == _push_by_scan(src.certificate, g, S, d), (S, src.certificate, g)
     assert (len(pushes), sum(got is not None for _, _, got in pushes)) == (tried, certified)
+
+
+def test_lane_bound_holds_on_real_pushes(monkeypatch):
+    # every push and point push of fresh d=5 and d=6 runs and of the d=7
+    # head returns the same from a source one byte wider than the bound of
+    # push_source asks for: a lane that overflowed at the bound's width k
+    # would carry into its neighbour at k and not at k + 1
+    def runs():
+        for d in (5, 6):
+            engine.run(engine.RunConfig(d=d))
+        engine.run(engine.RunConfig(d=7, max_layer=20))
+
+    calls = _lp_calls(monkeypatch, runs, "push", "_point_push")
+    pushes, points = calls["push"], calls["_point_push"]
+    assert (len(pushes), len(points)) == (142 + 2299 + 1426, 14 + 182 + 157)
+    width = lp._lane_width
+    monkeypatch.setattr(lp, "_lane_width", lambda bound: width(bound) + 1)
+    for (src, g, d), got in pushes:
+        wide = lp.push_source(src.certificate, src.parent, d)
+        assert wide.k == src.k + 1
+        assert lp.push(wide, g, d) == got, (src, g)
+    for args, got in points:
+        assert lp._point_push(*args) == got, args
 
 
 def test_push_from_a_wrong_certificate_is_sound():
@@ -387,22 +435,6 @@ def test_push_from_a_wrong_certificate_is_sound():
             assert _separates_by_rows(got, 1, S, d)
             returned += 1
     assert returned > 0
-
-
-def test_simplest_between_exhaustive():
-    # every open interval between fractions p / q, 0 <= p <= 20, 1 <= q <= 6:
-    # the result lies strictly inside, in lowest terms, and no fraction of a
-    # smaller denominator does
-    ends = sorted({Fraction(p, q) for p in range(21) for q in range(1, 7)})
-    for lo in ends:
-        for hi in ends:
-            if lo >= hi:
-                continue
-            p, q = lp._simplest_between(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-            assert lo < Fraction(p, q) < hi and math.gcd(p, q) == 1, (lo, hi)
-            for r in range(1, q):
-                # the least fraction of denominator r above lo
-                assert Fraction(math.floor(lo * r) + 1, r) >= hi, (lo, hi, r)
 
 
 def test_pushed_verdicts_match_plain_lp_d5(monkeypatch):
@@ -471,26 +503,15 @@ def test_vertex_feasible_tries_every_parent_then_the_simplex():
     assert not r.feasible and r.by_simplex
 
 
-def _point_interval_is_open(S, d):
-    """Whether some lam puts every row on its side of the line
-    p(S) - lam * (1, ..., 1): lam < p.g / |g| for g in S, lam > p.h / |h|
-    for h outside S."""
-    p = core.point_of(S, d)
-    lo, hi = [], []
-    for h, v in enumerate(core.generator_vectors(d)[1:], 1):
-        bound = Fraction(sum(x * y for x, y in zip(p, v)), sum(v))
-        (hi if (S >> (h - 1)) & 1 else lo).append(bound)
-    return not lo or not hi or max(lo) < min(hi)
-
-
 def test_point_push_only_certifies_vertices_exhaustive(generated):
     # every subset at d <= 4, and every shift-closed child that expand_layer
-    # builds at d = 5: a certificate comes back exactly when the lam interval
-    # over all rows is open, only for a vertex of the all-rows oracle, and it
-    # separates on all rows
+    # builds at d = 5: a certificate comes back exactly when the tau interval
+    # of p(S) + tau * (1, ..., 1) over all rows is open, only for a vertex of
+    # the all-rows oracle, and it separates on all rows
     def check(S, d):
         c = lp._point_push(S, d, core.full_mask(d))
-        assert (c is not None) == _point_interval_is_open(S, d), (d, S)
+        interval = _line_interval(core.point_of(S, d), (1,) * d, S, d)
+        assert (c is not None) == (interval is not None), (d, S)
         if c is None:
             return 0
         assert lp.feasibility(lp.signed_rows(S, d)).feasible, (d, S)
@@ -514,45 +535,52 @@ def test_point_push_only_certifies_vertices_exhaustive(generated):
     assert sum(check(S, d) for S in children) == 104
 
 
-def test_point_push_binding_rows_give_the_all_rows_interval(monkeypatch):
-    # for a shift-closed S, the lam interval of the binding rows is the one
-    # of all rows: at every shift-closed S at d <= 4, and at every point
-    # push of fresh d=5 and d=6 runs
-    def same(S, d):
-        p = core.point_of(S, d)
-        got, want = (
-            lp._point_interval(p, S, rows) for rows in (lp._binding(S, d), core.full_mask(d))
-        )
-        assert (got and _fractions(got)) == (want and _fractions(want)), (d, S)
-
-    closed = 0
-    for d in (2, 3, 4):
-        for S in range(1 << core.generator_count(d)):
-            if comb.shift_closed(S, d):
-                same(S, d)
-                closed += 1
-    assert closed > 400
-    calls = []
-    real = lp._point_push
-
-    def recording(S, d, rows):
-        calls.append((S, d, rows))
-        return real(S, d, rows)
-
-    monkeypatch.setattr(lp, "_point_push", recording)
-    for d in (5, 6):
-        engine.run(engine.RunConfig(d=d))
-    monkeypatch.setattr(lp, "_point_push", real)
+def _oracle_point_pushes(monkeypatch):
+    """(S, d, rows) of every point push that the oracle calls of fresh d=5
+    and d=6 runs make: 14 and 182, each on the binding rows of S."""
+    calls = _lp_calls(
+        monkeypatch, lambda: [engine.run(engine.RunConfig(d=d)) for d in (5, 6)], "_point_push"
+    )["_point_push"]
     assert len(calls) == 14 + 182
-    for S, d, rows in calls:
+    for (S, d, rows), _ in calls:
         assert rows == lp._binding(S, d)
-        same(S, d)
+    return [args for args, _ in calls]
 
 
-def _fractions(interval):
-    """(lo, hi) of an interval from lp._point_interval, hi None when open."""
-    lo_n, lo_d, hi_n, hi_d = interval
-    return Fraction(lo_n, lo_d), (Fraction(hi_n, hi_d) if hi_d else None)
+def test_point_push_binding_rows_give_the_all_rows_interval(monkeypatch):
+    # for a shift-closed S, the binding rows hold the member with the least
+    # p.h / |h|, so the point push on them returns the certificate of the
+    # point push on all rows: at every shift-closed S at d <= 4, and at
+    # every point push of fresh d=5 and d=6 runs
+    closed = [
+        (S, d) for d in (2, 3, 4) for S in range(1 << core.generator_count(d))
+        if comb.shift_closed(S, d)
+    ]
+    assert len(closed) > 400
+    for S, d in closed + [(S, d) for S, d, _ in _oracle_point_pushes(monkeypatch)]:
+        got, want = (lp._point_push(S, d, rows) for rows in (lp._binding(S, d), core.full_mask(d)))
+        assert got == want, (d, S)
+
+
+def test_point_push_is_the_least_step_exhaustive(monkeypatch):
+    # the point push against the exact reference on the line
+    # p(S) + tau * (1, ..., 1): every subset at d <= 4 on all rows, and on
+    # the binding rows where S is shift-closed, and every oracle call of
+    # fresh d=5 and d=6 runs, 148 of whose 196 the point push certifies
+    checked = 0
+    for d in (2, 3, 4):
+        full = core.full_mask(d)
+        for S in range(1 << core.generator_count(d)):
+            want = _point_push_reference(S, d)
+            assert lp._point_push(S, d, full) == want, (d, S)
+            if comb.shift_closed(S, d):
+                assert lp._point_push(S, d, lp._binding(S, d)) == want, (d, S)
+            checked += want is not None
+    assert checked == 6 + 32 + 370
+    calls = _oracle_point_pushes(monkeypatch)
+    got = [lp._point_push(*args) for args in calls]
+    assert got == [_point_push_reference(S, d) for S, d, _ in calls]
+    assert sum(c is not None for c in got) == 13 + 135
 
 
 def _phase_one_lists(rows, d, cone=()):
@@ -623,26 +651,15 @@ def _phase_one_lists(rows, d, cone=()):
 
 
 def _phase_one_calls(monkeypatch, run):
-    """(rows, d, cone, result) of every lp._phase_one call made by run()."""
-    calls = []
-    real = lp._phase_one
-
-    def recording(rows, d, cone=()):
-        got = real(rows, d, cone)
-        calls.append((rows, d, cone, got))
-        return got
-
-    monkeypatch.setattr(lp, "_phase_one", recording)
-    run()
-    monkeypatch.setattr(lp, "_phase_one", real)
-    return calls
+    """((rows, d[, cone]), result) of every lp._phase_one call made by run()."""
+    return _lp_calls(monkeypatch, run, "_phase_one")["_phase_one"]
 
 
 def _check_against_lists(calls):
-    for rows, d, cone, got in calls:
-        want, bound, largest = _phase_one_lists(rows, d, cone)
-        assert got == want, (rows, cone)
-        assert largest <= bound, (rows, cone)
+    for args, got in calls:
+        want, bound, largest = _phase_one_lists(*args)
+        assert got == want, args
+        assert largest <= bound, args
     return len(calls)
 
 
