@@ -9,9 +9,9 @@ is a degree from below of q and adds orbit(q) to the tally of the point p
 it hit; counted from both ends, orbit(p) deg_above(p) = sum_q orbit(q)
 #{g in S_q : q - v(g) sorts to p}, so deg_above(p) = tally(p) / orbit(p).
 An orbit size counts the antipodal copies and each edge has two ends, so
-e(d) = 1/2 sum orbit * degree.  ``degree_below`` and ``degree_above`` ask
-the exact feasibility oracle instead; they are the independent reference
-and serve the closed-form family checks.
+e(d) = 1/2 sum orbit * degree.  ``degree_above`` asks the exact oracle
+instead, on what ``comb.extensions`` keeps, and ``degree_below`` is
+``degree_above`` of the antipode: the reference for the family checks.
 
 Layers are tallied by multiset codes, not by sorted points: a point p in
 dimension d has the code sum_i 2^(w (p_i + 1)), w = d.bit_length().  Base
@@ -46,27 +46,22 @@ class DegreeRecord(core.Record, namedtuple("DegreeRecord", "canonical deg_below 
 def degree_below(S: int, d: int) -> int:
     """Number of members whose removal leaves a vertex.  Zero for the empty set.
 
-    Pre-filter: if S - {g} were a vertex, ``comb.may_extend`` would have
-    to admit re-adding g to it, since S is a vertex.
+    S - {g} is a vertex exactly when its antipode, the antipode of S plus g,
+    is one, so this is ``degree_above`` of the antipode of the vertex S.
     """
-    count = 0
-    for g in core.generators_of(S):
-        below = S ^ (1 << (g - 1))
-        if comb.may_extend(below, g, d) and lp.vertex_feasible(below, d).feasible:
-            count += 1
-    return count
+    return degree_above(core.antipode(S, d), d)
 
 
 def degree_above(S: int, d: int) -> int:
     """Number of non-members whose addition gives a vertex.  Zero for the full set.
 
-    Pre-filter: ``comb.may_extend``, a necessary condition, so no edge is lost.
+    S is a vertex, so ``comb.extensions`` on every non-member keeps every g
+    with S + {g} a vertex (no edge is lost), and the oracle decides each.
     """
-    count = 0
-    for g in core.generators_of(core.full_mask(d) & ~S):
-        if comb.may_extend(S, g, d) and lp.vertex_feasible(S | (1 << (g - 1)), d).feasible:
-            count += 1
-    return count
+    return sum(
+        lp.vertex_feasible(S | (1 << (g - 1)), d).feasible
+        for g in comb.extensions(S, core.full_mask(d) & ~S, d)
+    )
 
 
 def _code(p) -> int:

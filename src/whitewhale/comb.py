@@ -1,16 +1,17 @@
 """Combinatorial pruning and canonicalization under coordinate permutations.
 
-``extensions`` (and ``may_extend``, the same rules on one generator)
+``extensions``, which the engine and ``analytics.degree_above`` call,
 certifies non-vertices cheaply so that the expensive exact feasibility
-oracle is only called on surviving candidates.  It is a
-necessary condition for vertexhood (given that the subset being extended
-is itself a vertex), so pruning never loses a vertex.  ``shift_closed`` is
-the same kind of necessary condition for a canonical subset, and
-``shift_extensions`` turns it into the set of generators that keep a
-shift-closed parent shift-closed, so the engine walks only those, and
-each child it builds has a nondecreasing point, so it is canonical as
-built.  ``canonicalize`` and ``filter_sorted_extension`` serve subsets
-not built that way; the engine calls neither.
+oracle is only called on surviving candidates.  It is a necessary
+condition for vertexhood (given that the subset being extended is itself
+a vertex), so pruning never loses a vertex.  ``shift_closed`` is the same
+kind of necessary condition for a sorted subset (``lp.vertex_feasible``
+rejects one that fails it with no LP), and ``shift_extensions`` turns it
+into the set of generators that keep a shift-closed parent shift-closed,
+so the engine walks only those, and each child it builds has a
+nondecreasing point, so it is canonical as built.  Any other subset is
+sorted by ``sorting_permutation`` and ``permute_subset``;
+``canonicalize`` and ``filter_sorted_extension`` serve such subsets too.
 """
 
 from __future__ import annotations
@@ -53,16 +54,6 @@ def submask_table(d: int) -> tuple[int, ...]:
             sub = (sub - 1) & g
         table[g] = bits
     return tuple(table)
-
-
-def may_extend(S: int, g: int, d: int) -> bool:
-    """Necessary condition for p(S + {g}) to be a vertex, given that p(S) is
-    one and g is not in S.  False certifies that S + {g} is not a vertex.
-
-    ``extensions`` on the one generator g; the rules and their soundness
-    are in its docstring.
-    """
-    return bool(extensions(S, 1 << (g - 1), d))
 
 
 def extensions(S: int, candidates: int, d: int) -> list[int]:

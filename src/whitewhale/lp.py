@@ -17,9 +17,10 @@ rounding.  When the minimum is positive, the dual solution yields a
 certificate c, scaled to the smallest integer vector on its ray, which is
 always re-verified before being returned.  Cone columns b (with 0 in the
 convexity row) may be added to the balance equations; they ask in
-addition for c.b >= 0.
-``vertex_feasible`` uses them to look only for nondecreasing c on
-canonical subsets, which needs far fewer rows.
+addition for c.b >= 0.  ``vertex_feasible`` decides every subset by its
+sorted image, rejects a sorted image that is not shift-closed with no LP,
+and uses cone columns to look only for nondecreasing c on the rest, which
+needs far fewer rows.
 
 Every row check runs on all 2^d - 1 rows at once, with no row loop.  For
 a lane width of k bytes, lane h - 1 of a big integer stands for
@@ -53,7 +54,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
-from operator import mul
+from operator import gt, mul
 
 from . import comb, core
 
@@ -65,7 +66,7 @@ class FeasibilityResult(
     namedtuple("FeasibilityResult", "feasible certificate by_simplex", defaults=(None, True)),
 ):
     """The verdict, and when feasible an integer vector c with c.g >= 1 on S
-    and <= -1 outside; ``by_simplex`` is False when the point push answered."""
+    and <= -1 outside; ``by_simplex`` is False when no simplex ran."""
 
     __slots__ = ()
 
@@ -93,31 +94,38 @@ def feasibility(rows) -> FeasibilityResult:
 def vertex_feasible(S: int, d: int) -> FeasibilityResult:
     """Vertex test for a subset mask over the full White Whale generator set.
 
-    First ``_point_push`` searches the line through the point of S along
-    (1, ..., 1), with the search of a parent push (``_search``).  A
-    certificate it returns has passed the all-rows check, so it proves S a
-    vertex: a push never decides a non-vertex, it only spares the simplex
-    on a vertex.  The engine calls this only for the children that no
-    parent push (``push``) certified during its walk.
-
-    The simplex runs when the point push fails.  A shift-closed S (see
-    ``comb.shift_closed``) has a nondecreasing point, and if it is a vertex
-    then some certificate is nondecreasing.  So the oracle adds the d - 1
-    cone columns e_{i+1} - e_i, which force c to be nondecreasing, and
-    keeps only the rows that can bind for such c (``_binding``): the
-    shift-minimal members and the shift-maximal non-members (every other
-    row is implied).  The point push takes its lower end from the same
-    rows.  Any other S runs on all of ``signed_rows(S, d)``.  The
-    certificate is re-verified on all 2^d - 1 rows in exact integer
-    arithmetic.
+    One path for every S.  A coordinate permutation maps vertices to
+    vertices, so an S whose point p is not nondecreasing gets the verdict
+    of its sorted image, and the image's certificate, its coordinates put
+    back, is re-verified on S.  A sorted S that is not shift-closed is no
+    vertex (``comb.shift_closed``).  A shift-closed S, if a vertex, has a
+    nondecreasing certificate, so only the rows that can bind for such c
+    are kept (``_binding``).  ``_point_push`` searches the line p + tau *
+    (1, ..., 1) from the lower end those rows give; a certificate it
+    returns has passed the all-rows check, so a push only spares the
+    simplex on a vertex.  When it fails, the simplex runs on those rows
+    plus the d - 1 cone columns e_{i+1} - e_i, which force c to be
+    nondecreasing, and its certificate is re-verified on all 2^d - 1 rows.
+    The engine sends only its sorted, shift-closed children that no parent
+    push (``push``) certified.
     """
     core.check_dimension(d)
-    closed = comb.shift_closed(S, d)
-    rows = _binding(S, d) if closed else core.full_mask(d)
-    pushed = _point_push(S, d, rows)
+    p = core.point_of(S, d)
+    if any(map(gt, p, p[1:])):
+        perm = comb.sorting_permutation(p)
+        r = vertex_feasible(comb.permute_subset(S, perm, d), d)
+        if r.feasible:
+            r = r._replace(certificate=tuple(r.certificate[perm.index(i)] for i in range(d)))
+            if not _separates(r.certificate, 1, S, d):
+                raise AssertionError("internal error: certificate failed exact re-verification")
+        return r
+    if not comb.shift_closed(S, d):
+        return FeasibilityResult(False, by_simplex=False)
+    rows = _binding(S, d)
+    pushed = _point_push(S, p, d, rows)
     if pushed is not None:
         return FeasibilityResult(True, pushed, by_simplex=False)
-    c = _phase_one(_rows(S, rows, d), d, _cone_columns(d) if closed else ())
+    c = _phase_one(_rows(S, rows, d), d, _cone_columns(d))
     if c is None:
         return FeasibilityResult(False)
     if not _separates(c, 1, S, d):
@@ -295,25 +303,24 @@ def _search(src: PushSource, g: int, h: int, d: int) -> tuple[int, ...] | None:
     return None
 
 
-def _point_push(S: int, d: int, rows: int) -> tuple[int, ...] | None:
+def _point_push(S: int, p, d: int, rows: int) -> tuple[int, ...] | None:
     """An integer certificate of S on the line p + tau * (1, ..., 1), or None.
 
-    p = p(S) is the point of S, and the line is searched (``_search``) from
-    ``push_source(p, S, d)`` along the all-ones generator.  Row h asks for
-    p.h + tau * |h| > 0 if h is in S and < 0 if not, so every member bounds
-    tau from below by -p.h / |h|, and the search starts from the member in
-    the mask ``rows`` with the least p.h / |h|: all rows, or for a
-    shift-closed S its binding rows (``_binding``), which hold that member
-    too.  p is nondecreasing, and moving a 1 of h to an earlier coordinate
-    cannot raise p.h while |h| stays, so the least p.h / |h| over members
-    lies on a shift-minimal member.  The key p.h * (L / |h|), L =
-    lcm(1, ..., d), orders the members by p.h / |h| in integers.  No
-    parent certificate is needed.  The empty S has no member and gets
-    (-1, ..., -1).
+    p = p(S), which the caller has at hand; the line is searched
+    (``_search``) from ``push_source(p, S, d)`` along the all-ones
+    generator.  Row h asks for p.h + tau * |h| > 0 if h is in S and < 0 if
+    not, so every member bounds tau from below by -p.h / |h|, and the
+    search starts from the member in the mask ``rows`` with the least
+    p.h / |h|.  All rows hold it, and so do the binding rows (``_binding``)
+    of a shift-closed S: p is nondecreasing, and moving a 1 of h to an
+    earlier coordinate cannot raise p.h while |h| stays, so the least
+    p.h / |h| over members lies on a shift-minimal member.  The key
+    p.h * (L / |h|), L = lcm(1, ..., d), orders the members by p.h / |h| in
+    integers.  No parent certificate is needed.  The empty S has no member
+    and gets (-1, ..., -1).
     """
     if not S:
         return (-1,) * d
-    p = core.point_of(S, d)
     vectors = core.generator_vectors(d)
     L = math.lcm(*range(1, d + 1))
     h = min(

@@ -17,36 +17,36 @@ def test_submask_table_invariant():
 def test_may_extend_all_ones_rule():
     ones = 7
     # below the halfway layer (1,1,1) is never added
-    assert not comb.may_extend(core.mask_of([1, 3]), ones, 3)
+    assert not comb.extensions(core.mask_of([1, 3]), 1 << (ones - 1), 3)
     # at the halfway layer a vertex without (1,1,1) can only gain it
     w = core.mask_of([1, 2, 3])
-    assert comb.may_extend(w, ones, 3)
-    assert not comb.may_extend(w, 4, 3)
+    assert comb.extensions(w, 1 << (ones - 1), 3)
+    assert not comb.extensions(w, 1 << (4 - 1), 3)
     assert lp.vertex_feasible(w | (1 << (ones - 1)), 3).feasible
 
 
 def test_may_extend_complement_rule():
     S = core.mask_of([1, 3])
-    assert not comb.may_extend(S, 6, 3)   # (1,1,0) + (0,0,1) = (1,1,1)
-    assert not comb.may_extend(S, 4, 3)   # (1,0,0) + (0,1,1) = (1,1,1)
-    assert comb.may_extend(S, 2, 3)
+    assert not comb.extensions(S, 1 << (6 - 1), 3)   # (1,1,0) + (0,0,1) = (1,1,1)
+    assert not comb.extensions(S, 1 << (4 - 1), 3)   # (1,0,0) + (0,1,1) = (1,1,1)
+    assert comb.extensions(S, 1 << (2 - 1), 3)
 
 
 def test_may_extend_pair_sum_rule():
     # (0,0,1) in S and g = (0,1,0) disjoint from it: (0,1,1) must be in S
     one = core.mask_of([1])
-    assert not comb.may_extend(one, 2, 3)
+    assert not comb.extensions(one, 1 << (2 - 1), 3)
     assert not lp.vertex_feasible(one | (1 << (2 - 1)), 3).feasible
-    assert comb.may_extend(core.mask_of([1, 3]), 2, 3)   # (0,1,1) present
+    assert comb.extensions(core.mask_of([1, 3]), 1 << (2 - 1), 3)  # (0,1,1) present
     # at or above the halfway layer, where the complement rule is silent
-    S = core.mask_of([1, 2, 3, 7])                       # p = (1, 3, 3) at d=3
+    S = core.mask_of([1, 2, 3, 7])  # p = (1, 3, 3) at d=3
     assert lp.vertex_feasible(S, 3).feasible
-    assert not comb.may_extend(S, 4, 3)                  # (1,0,0) + (0,0,1) = 5 is out
+    assert not comb.extensions(S, 1 << (4 - 1), 3)  # (1,0,0) + (0,0,1) = 5 is out
     assert not lp.vertex_feasible(S | (1 << (4 - 1)), 3).feasible
 
 
 def test_restricted_count_examples():
-    # |S & submasks(g)|, the count the submask rule of may_extend reads
+    # |S & submasks(g)|, the count the submask rule of extensions reads
     table = comb.submask_table(3)
     assert (core.mask_of([1, 3]) & table[7]).bit_count() == 2
     assert (core.mask_of([1, 3]) & table[2]).bit_count() == 0
@@ -56,24 +56,24 @@ def test_restricted_count_examples():
 def test_oracle_O_examples():
     # |S & submasks(g)| must be 2^{sigma(g)-1} - 1
     S = core.mask_of([1, 3])
-    assert comb.may_extend(S, 2, 3)       # submasks {2}: none in S
-    assert not comb.may_extend(S, 7, 3)
-    assert comb.may_extend(S, 5, 3)       # submasks {1, 4}: one in S
+    assert comb.extensions(S, 1 << (2 - 1), 3)       # submasks {2}: none in S
+    assert not comb.extensions(S, 1 << (7 - 1), 3)
+    assert comb.extensions(S, 1 << (5 - 1), 3)       # submasks {1, 4}: one in S
     one = core.mask_of([1])
-    assert not comb.may_extend(one, 6, 4)   # submasks {2, 4}: none in S
+    assert not comb.extensions(one, 1 << (6 - 1), 4)   # submasks {2, 4}: none in S
     assert not lp.vertex_feasible(one | (1 << (6 - 1)), 4).feasible
 
 
 def test_support_bound_filter_examples():
     # the submask count implies 2^{sigma(g)-1} - 1 <= |S|
     one = core.mask_of([1])
-    assert not comb.may_extend(one, 7, 4)   # sigma = 3 needs 3 members, |S| = 1
+    assert not comb.extensions(one, 1 << (7 - 1), 4)   # sigma = 3 needs 3 members, |S| = 1
     assert not lp.vertex_feasible(one | (1 << (7 - 1)), 4).feasible
-    assert comb.may_extend(one, 3, 4)       # sigma = 2 needs 1
+    assert comb.extensions(one, 1 << (3 - 1), 4)       # sigma = 2 needs 1
     # boundary: sigma = 4 needs 2^3 - 1 = 7 members and |S| = 7
     seven = core.mask_of(range(1, 8))
     assert lp.vertex_feasible(seven, 4).feasible
-    assert comb.may_extend(seven, 15, 4)
+    assert comb.extensions(seven, 1 << (15 - 1), 4)
     assert lp.vertex_feasible(seven | (1 << (15 - 1)), 4).feasible
 
 
@@ -90,7 +90,7 @@ def test_may_extend_soundness_exhaustive(brute_force_d4):
         rejected = 0
         for S in vertices:
             for g in core.generators_of(core.full_mask(d) & ~S):
-                if not comb.may_extend(S, g, d):
+                if not comb.extensions(S, 1 << (g - 1), d):
                     rejected += 1
                     assert S | (1 << (g - 1)) not in vertices, (d, S, g)
         assert rejected > 0

@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from whitewhale import comb, core, engine, lp
+from whitewhale import analytics, comb, core, engine, lp
 
 
 def test_vertex_feasible_examples():
@@ -90,26 +90,39 @@ def test_permutation_equivariance():
         )
 
 
-def test_reduced_oracle_matches_full_rows_exhaustive_d4(monkeypatch, brute_force_d4):
-    # shift-closed subsets get the binding rows plus the cone columns, the
-    # rest all rows; either way the verdict is the plain all-rows verdict of
-    # lp.feasibility(signed_rows(S, 4)), which the brute force holds.  Every
-    # simplex these calls run, one per non-vertex, is also run on the list
-    # tableau (_check_against_lists)
-    reduced = 0
+def _sorted_image(S, d):
+    """S with its coordinates permuted so that its point is nondecreasing."""
+    return comb.permute_subset(S, comb.sorting_permutation(core.point_of(S, d)), d)
 
+
+def _simplex_non_vertices(d, vertices):
+    """How many non-vertices at d have a shift-closed sorted image: the
+    subsets on which vertex_feasible runs the simplex, when the point push
+    certifies every vertex (as at d <= 4)."""
+    return sum(
+        comb.shift_closed(_sorted_image(S, d), d)
+        for S in range(1 << core.generator_count(d))
+        if S not in vertices
+    )
+
+
+def test_reduced_oracle_matches_full_rows_exhaustive_d4(monkeypatch, brute_force_d4):
+    # every subset gets the plain all-rows verdict of
+    # lp.feasibility(signed_rows(S, 4)), which the brute force holds, and a
+    # certificate that verifies on S.  The simplex runs once per non-vertex
+    # whose sorted image is shift-closed, on the binding rows of that image
+    # plus the cone columns; each run is also run on the list tableau
+    # (_check_against_lists)
     def exhaustive():
-        nonlocal reduced
         for S in range(1 << 15):
             r = lp.vertex_feasible(S, 4)
             assert r.feasible == (S in brute_force_d4), S
             if r.feasible:
                 assert lp.verify_certificate(r.certificate, S, 4)
-            reduced += comb.shift_closed(S, 4)
 
     calls = _phase_one_calls(monkeypatch, exhaustive)
-    assert reduced == 400
-    assert _check_against_lists(calls) == (1 << 15) - len(brute_force_d4)
+    assert all(args[2] == lp._cone_columns(4) for args, _ in calls)
+    assert _check_against_lists(calls) == _simplex_non_vertices(4, brute_force_d4) == 3934
 
 
 def test_brute_force_count_d3(monkeypatch):
@@ -118,7 +131,72 @@ def test_brute_force_count_d3(monkeypatch):
         lambda: [lp.vertex_feasible(S, d).feasible for d in (2, 3) for S in range(1 << ((1 << d) - 1))],
     )
     assert sum(lp.vertex_feasible(S, 3).feasible for S in range(1 << 7)) == 32
-    assert _check_against_lists(calls) == (8 - 6) + (128 - 32)
+    want = [_simplex_non_vertices(d, analytics.white_whale_brute_force(d)) for d in (2, 3)]
+    assert _check_against_lists(calls) == sum(want) == 2 + 60
+
+
+def test_plain_simplex_matches_list_tableau_exhaustive(monkeypatch):
+    # lp.feasibility, the plain all-rows path that the brute force and
+    # generate_generic take, runs the simplex with no cone columns: every
+    # call it makes for every subset at d <= 4 against the list tableau
+    calls = _phase_one_calls(
+        monkeypatch,
+        lambda: [
+            lp.feasibility(lp.signed_rows(S, d))
+            for d in (2, 3, 4)
+            for S in range(1 << core.generator_count(d))
+        ],
+    )
+    assert all(len(args) == 2 for args, _ in calls)
+    assert _check_against_lists(calls) == 8 + 128 + (1 << 15)
+
+
+def test_every_subset_takes_the_verdict_of_its_sorted_image(monkeypatch, brute_force_d4):
+    # every subset at d <= 4 gets the plain all-rows verdict of its sorted
+    # image and a certificate that verifies on S itself; a sorted subset
+    # that is not shift-closed is rejected with no simplex run
+    runs = []
+    real = lp._phase_one
+    monkeypatch.setattr(lp, "_phase_one", lambda *args: runs.append(args) or real(*args))
+    vertex_sets = {d: analytics.white_whale_brute_force(d) for d in (2, 3)} | {4: brute_force_d4}
+    unsorted = rejected = 0
+    for d, vertices in vertex_sets.items():
+        for S in range(1 << core.generator_count(d)):
+            T, before = _sorted_image(S, d), len(runs)
+            r = lp.vertex_feasible(S, d)
+            assert r.feasible == (T in vertices), (d, S)
+            if r.feasible:
+                assert lp.verify_certificate(r.certificate, S, d), (d, S)
+            unsorted += T != S
+            if T == S and not comb.shift_closed(S, d):
+                assert not r.feasible and not r.by_simplex, (d, S)
+                assert len(runs) == before, (d, S)
+                rejected += 1
+    assert (unsorted, rejected) == (2 + 76 + 27724, 0 + 20 + 4644)
+
+
+def test_degree_queries_match_plain_lp_d5(monkeypatch, generated):
+    # every S - {g} and S + {g} that degree_below and degree_above ask the
+    # oracle about on the d=5 layers, against lp.feasibility on all rows:
+    # 655 queries, 439 of them unsorted, each of which is recorded with the
+    # call on its sorted image that it makes
+    d = 5
+    layers, _ = generated(d)
+    calls = _lp_calls(
+        monkeypatch,
+        lambda: [
+            (analytics.degree_below(e.subset, d), analytics.degree_above(e.subset, d))
+            for layer in layers
+            for e in layer.entries
+        ],
+        "vertex_feasible",
+    )["vertex_feasible"]
+    for (S, _), r in calls:
+        assert r.feasible == lp.feasibility(lp.signed_rows(S, d)).feasible, S
+        if r.feasible:
+            assert lp.verify_certificate(r.certificate, S, d), S
+    unsorted = sum(_sorted_image(S, d) != S for (S, _), _ in calls)
+    assert (len(calls), unsorted) == (655 + 439, 439)
 
 
 def test_feasibility_rejects_bad_input():
@@ -488,7 +566,7 @@ def test_vertex_feasible_tries_every_parent_then_the_simplex():
     d = 5
     S = core.mask_of([1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 15, 19])
     P = S & ~(1 << (6 - 1))
-    assert lp._point_push(S, d, lp._binding(S, d)) is None
+    assert lp._point_push(S, core.point_of(S, d), d, lp._binding(S, d)) is None
     c = lp.push(lp.push_source(lp.vertex_feasible(P, d).certificate, P, d), 6, d)
     assert lp.verify_certificate(c, S, d)
     ones = (1,) * d  # certifies the whole generator set, not P
@@ -509,8 +587,9 @@ def test_point_push_only_certifies_vertices_exhaustive(generated):
     # of p(S) + tau * (1, ..., 1) over all rows is open, only for a vertex of
     # the all-rows oracle, and it separates on all rows
     def check(S, d):
-        c = lp._point_push(S, d, core.full_mask(d))
-        interval = _line_interval(core.point_of(S, d), (1,) * d, S, d)
+        p = core.point_of(S, d)
+        c = lp._point_push(S, p, d, core.full_mask(d))
+        interval = _line_interval(p, (1,) * d, S, d)
         assert (c is not None) == (interval is not None), (d, S)
         if c is None:
             return 0
@@ -528,7 +607,7 @@ def test_point_push_only_certifies_vertices_exhaustive(generated):
         for layer in layers[:-1]
         for e in layer.entries
         for g in core.generators_of(comb.shift_extensions(e.subset, d))
-        if comb.may_extend(e.subset, g, d)
+        if comb.extensions(e.subset, 1 << (g - 1), d)
     }
     assert len(children) == 111
     # all 111 children are vertices; the point push misses 7 of them
@@ -536,14 +615,15 @@ def test_point_push_only_certifies_vertices_exhaustive(generated):
 
 
 def _oracle_point_pushes(monkeypatch):
-    """(S, d, rows) of every point push that the oracle calls of fresh d=5
-    and d=6 runs make: 14 and 182, each on the binding rows of S."""
+    """(S, p, d, rows) of every point push that the oracle calls of fresh
+    d=5 and d=6 runs make: 14 and 182, each on the point and the binding
+    rows of S."""
     calls = _lp_calls(
         monkeypatch, lambda: [engine.run(engine.RunConfig(d=d)) for d in (5, 6)], "_point_push"
     )["_point_push"]
     assert len(calls) == 14 + 182
-    for (S, d, rows), _ in calls:
-        assert rows == lp._binding(S, d)
+    for (S, p, d, rows), _ in calls:
+        assert (p, rows) == (core.point_of(S, d), lp._binding(S, d))
     return [args for args, _ in calls]
 
 
@@ -557,8 +637,11 @@ def test_point_push_binding_rows_give_the_all_rows_interval(monkeypatch):
         if comb.shift_closed(S, d)
     ]
     assert len(closed) > 400
-    for S, d in closed + [(S, d) for S, d, _ in _oracle_point_pushes(monkeypatch)]:
-        got, want = (lp._point_push(S, d, rows) for rows in (lp._binding(S, d), core.full_mask(d)))
+    for S, d in closed + [(S, d) for S, _, d, _ in _oracle_point_pushes(monkeypatch)]:
+        p = core.point_of(S, d)
+        got, want = (
+            lp._point_push(S, p, d, rows) for rows in (lp._binding(S, d), core.full_mask(d))
+        )
         assert got == want, (d, S)
 
 
@@ -571,15 +654,15 @@ def test_point_push_is_the_least_step_exhaustive(monkeypatch):
     for d in (2, 3, 4):
         full = core.full_mask(d)
         for S in range(1 << core.generator_count(d)):
-            want = _point_push_reference(S, d)
-            assert lp._point_push(S, d, full) == want, (d, S)
+            want, p = _point_push_reference(S, d), core.point_of(S, d)
+            assert lp._point_push(S, p, d, full) == want, (d, S)
             if comb.shift_closed(S, d):
-                assert lp._point_push(S, d, lp._binding(S, d)) == want, (d, S)
+                assert lp._point_push(S, p, d, lp._binding(S, d)) == want, (d, S)
             checked += want is not None
     assert checked == 6 + 32 + 370
     calls = _oracle_point_pushes(monkeypatch)
     got = [lp._point_push(*args) for args in calls]
-    assert got == [_point_push_reference(S, d) for S, d, _ in calls]
+    assert got == [_point_push_reference(S, d) for S, _, d, _ in calls]
     assert sum(c is not None for c in got) == 13 + 135
 
 
