@@ -8,6 +8,8 @@ and of the antipodal image of the top layer (the layer above it).  A hit
 is a degree from below of q and adds orbit(q) to the tally of the point p
 it hit; counted from both ends, orbit(p) deg_above(p) = sum_q orbit(q)
 #{g in S_q : q - v(g) sorts to p}, so deg_above(p) = tally(p) / orbit(p).
+Only the layer above adds to a tally, so the pass reads the layers as a
+stream and holds two at a time, whatever the number of layers.
 An orbit size counts the antipodal copies and each edge has two ends, so
 e(d) = 1/2 sum orbit * degree.  ``degree_above`` asks the exact oracle
 instead, on what ``comb.extensions`` keeps, and ``degree_below`` is
@@ -84,52 +86,58 @@ def _count_lower(p, code, mask, orbit, d, tally) -> int:
     return hits
 
 
-def layer_degrees(layers) -> list[list[DegreeRecord]]:
-    """DegreeRecords for every canonical vertex of complete layers 0..2^{d-1}-1.
+def layer_degrees(layers):
+    """Yield the DegreeRecords of each layer of a stream of layers 0..2^{d-1}-1.
 
-    Raises ValueError unless ``layers`` are the layers 0..2^{d-1}-1 of one
-    d, in order, and AssertionError if a tally does not divide by its orbit size.
+    Holds two layers: layer k - 1's records are yielded once the walk of
+    layer k has finished their tallies, the top layer's after the walk of
+    its antipodal image.  Raises ValueError unless ``layers`` are layers
+    0..2^{d-1}-1 of one d in order, AssertionError if a tally does not
+    divide by its orbit size.
     """
-    if not layers:
-        raise ValueError("no layers")
-    d = layers[0].d
-    top = core.halfway_layer(d)
-    got = [(layer.d, layer.k) for layer in layers]
-    if got != [(d, k) for k in range(top + 1)]:
-        raise ValueError(f"need complete layers 0..{top} of d={d} in order, got {got}")
-    # per layer, a tally of 0 per entry keyed by its code, in entry order
-    # (codes are distinct, so the keys run in step with the entries)
-    tallies = [dict.fromkeys([_code(e.point) for e in layer.entries], 0) for layer in layers]
-    degs_below = [[0] * len(layers[0].entries)]
-    for layer in layers[1:]:
-        tally = tallies[layer.k - 1]
-        degs_below.append([
+    held, tally = None, {}  # the layer below, its degrees from below and its tally
+    for k, layer in enumerate(layers):
+        d = layer.d if held is None else held[0].d
+        if (layer.d, layer.k) != (d, k) or k > core.halfway_layer(d):
+            raise ValueError(f"layers must run 0..2^(d-1)-1 of d={d}, got {layer.k} of d={layer.d}")
+        # a tally of 0 per entry keyed by its code, in entry order
+        # (codes are distinct, so the keys run in step with the entries)
+        codes = dict.fromkeys([_code(e.point) for e in layer.entries], 0)
+        below = [
             _count_lower(e.point, code, e.subset, e.orbit_size, d, tally)
-            for e, code in zip(layer.entries, tallies[layer.k])
-        ])
+            for e, code in zip(layer.entries, codes)
+        ]
+        if held:
+            yield _records(*held)
+        held, tally = (layer, below, codes), codes
+    if held is None or held[0].k != core.halfway_layer(d):
+        raise ValueError("layers must run 0..2^(d-1)-1 of one d; they stop below the top one")
     corner = 1 << (d - 1)
-    for e in layers[-1].entries:
+    for e in held[0].entries:
         mirror = tuple(corner - x for x in e.point)
         antipode = core.antipode(e.subset, d)
-        _count_lower(mirror, _code(mirror), antipode, e.orbit_size, d, tallies[-1])
-    out = []
-    for layer, degs, tally in zip(layers, degs_below, tallies):
-        records = []
-        for e, below, total in zip(layer.entries, degs, tally.values()):
-            above, rest = divmod(total, e.orbit_size)
-            if rest:
-                raise AssertionError(
-                    f"tally {total} of {e.point} does not divide by its orbit size {e.orbit_size}"
-                )
-            records.append(DegreeRecord(e, below, above))
-        out.append(records)
-    return out
+        _count_lower(mirror, _code(mirror), antipode, e.orbit_size, d, tally)
+    yield _records(*held)
+
+
+def _records(layer, degs_below, tally) -> list[DegreeRecord]:
+    """The DegreeRecords of a layer whose tally the layer above has filled."""
+    records = []
+    for e, below, total in zip(layer.entries, degs_below, tally.values()):
+        above, rest = divmod(total, e.orbit_size)
+        if rest:
+            raise AssertionError(
+                f"tally {total} of {e.point} does not divide by its orbit size {e.orbit_size}"
+            )
+        records.append(DegreeRecord(e, below, above))
+    return records
 
 
 def count_edges(records) -> int:
     """e(d) = 1/2 sum of orbit size * degree over the DegreeRecords of layers 0..2^{d-1}-1.
 
-    Raises AssertionError if the sum is odd.
+    Reads the per-layer lists in ``records`` once, as the stream
+    ``layer_degrees`` yields them; raises AssertionError if the sum is odd.
     """
     total = sum(r.canonical.orbit_size * r.degree for layer in records for r in layer)
     if total % 2:

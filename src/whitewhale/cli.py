@@ -141,11 +141,11 @@ def _write_summary(layers_dir: str, summary: dict) -> None:
         fh.write("\n")
 
 
-def _read_all_layers(layers_dir: str, d: int, stop: int) -> list[engine.LayerRecord]:
-    """Layers 0..stop-1 of dimension d, read from their files."""
-    return [
-        layerfile.read_layer(layerfile.layer_path(layers_dir, d, k), d, k) for k in range(stop)
-    ]
+def _layers(layers_dir: str, d: int, stop: int | None = None):
+    """Layers 0..stop-1 (default 0..2^{d-1}-1) of dimension d, read from their
+    files one at a time."""
+    for k in range(core.halfway_layer(d) + 1 if stop is None else stop):
+        yield layerfile.read_layer(layerfile.layer_path(layers_dir, d, k), d, k)
 
 
 def cmd_generate(args) -> int:
@@ -180,7 +180,7 @@ def cmd_generate(args) -> int:
     complete = args.shard is None and cfg.max_layer == core.halfway_layer(d)
     rows = []
     if complete and start is not None:
-        rows = [_summary_row(layer) for layer in _read_all_layers(args.layers_dir, d, start.k)]
+        rows = [_summary_row(layer) for layer in _layers(args.layers_dir, d, start.k)]
         rows.append(_summary_row(start))
     for layer in engine.generate(cfg, start):
         if layer.k > 0 and not args.quiet:
@@ -217,48 +217,39 @@ def _write_certificates(layers_dir: str, layer: engine.LayerRecord) -> None:
             fh.write(point + " | " + " ".join(str(c) for c in e.certificate) + "\n")
 
 
-def cmd_edges(args) -> int:
+def _write_degree_csv(args, path: str, columns: int, first: int = 0) -> int:
+    """Write path from one degree pass: the first ``columns`` columns of the
+    degree table for every vertex of layers first..2^{d-1}-1, each layer's
+    rows as soon as its records are known.  Returns e(d)."""
     import csv
 
-    summary = _load_summary(args.layers_dir, args.d)
-    layers = _read_all_layers(args.layers_dir, args.d, core.halfway_layer(args.d) + 1)
-    records = analytics.layer_degrees(layers)
-    e_total = analytics.count_edges(records)
-    path = os.path.join(args.layers_dir, f"edges_d{args.d}.csv")
+    def written(writer):
+        for k, records in enumerate(analytics.layer_degrees(_layers(args.layers_dir, args.d))):
+            for r in records if k >= first else ():
+                e = r.canonical
+                point = " ".join(str(x) for x in e.point)
+                row = [k, point, e.orbit_size, r.deg_below, r.deg_above, r.degree]
+                writer.writerow(row[:columns])
+            yield records
+
     with layerfile.atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k", "point", "orbit", "deg_below"])
-        for k, layer in enumerate(records[1:], start=1):
-            for r in layer:
-                e = r.canonical
-                writer.writerow([k, " ".join(str(x) for x in e.point), e.orbit_size, r.deg_below])
-    summary["e"] = e_total
+        writer.writerow(["k", "point", "orbit", "deg_below", "deg_above", "deg"][:columns])
+        return analytics.count_edges(written(writer))
+
+
+def cmd_edges(args) -> int:
+    summary = _load_summary(args.layers_dir, args.d)
+    path = os.path.join(args.layers_dir, f"edges_d{args.d}.csv")
+    summary["e"] = _write_degree_csv(args, path, columns=4, first=1)
     _write_summary(args.layers_dir, summary)
-    print(f"e({args.d}) = {e_total}")
+    print(f"e({args.d}) = {summary['e']}")
     return EXIT_OK
 
 
 def cmd_degrees(args) -> int:
-    import csv
-
     path = os.path.join(args.layers_dir, f"degrees_d{args.d}.csv")
-    layers = _read_all_layers(args.layers_dir, args.d, core.halfway_layer(args.d) + 1)
-    records = analytics.layer_degrees(layers)
-    with layerfile.atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "point", "orbit", "deg_below", "deg_above", "deg"])
-        for k, layer in enumerate(records):
-            for r in layer:
-                writer.writerow(
-                    [
-                        k,
-                        " ".join(str(x) for x in r.canonical.point),
-                        r.canonical.orbit_size,
-                        r.deg_below,
-                        r.deg_above,
-                        r.degree,
-                    ]
-                )
+    _write_degree_csv(args, path, columns=6)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -282,35 +273,34 @@ def cmd_verify(args) -> int:
                 return EXIT_CONFIG
             modes.discard(mode)
 
-    layers = None
-    if modes & {"tables", "bruteforce"}:
-        layers = _read_all_layers(args.layers_dir, d, core.halfway_layer(d) + 1)
-
     if "tables" in modes:
-        a = sum(l.orbit_sum for l in layers)
-        o = sum(len(l.entries) for l in layers)
+        a = o = 0
+        rows = []  # the rows of tables.D3_ROWS / D4_ROWS, at d = 3 and 4
+
+        def tallied():
+            nonlocal a, o
+            for k, records in enumerate(analytics.layer_degrees(_layers(args.layers_dir, d))):
+                a += sum(r.canonical.orbit_size for r in records)
+                o += len(records)
+                for r in records if d in (3, 4) else ():
+                    e = r.canonical
+                    ids = tuple(core.generators_of(e.subset))
+                    rows.append((k, ids, e.point, e.orbit_size, r.deg_below, r.deg_above))
+                yield records
+
+        e_total = analytics.count_edges(tallied())
         check(f"a({d}) == {tables.A_VALUES[d]}", a == tables.A_VALUES[d])
         check(f"o({d}) == {tables.O_VALUES[d]}", o == tables.O_VALUES[d])
-        records = analytics.layer_degrees(layers)
         if d in (3, 4):
-            rows = tables.D3_ROWS if d == 3 else tables.D4_ROWS
-            got = [
-                (l.k, tuple(core.generators_of(e.subset)), e.point, e.orbit_size)
-                for l in layers
-                for e in l.entries
-            ]
-            want = [(k, ids, p, orb) for k, ids, p, orb, _, _ in rows]
-            check(f"layer table d={d} row-for-row", got == want)
-            degs = [(r.deg_below, r.deg_above) for recs in records for r in recs]
-            want_degs = [(db, da) for *_, db, da in rows]
-            check(f"degree table d={d} row-for-row", degs == want_degs)
+            want = tables.D3_ROWS if d == 3 else tables.D4_ROWS
+            check(f"layer table d={d} row-for-row", [r[:4] for r in rows] == [r[:4] for r in want])
+            check(f"degree table d={d} row-for-row", [r[4:] for r in rows] == [r[4:] for r in want])
         if d in tables.E_VALUES:
-            e_total = analytics.count_edges(records)
             check(f"e({d}) == {tables.E_VALUES[d]}", e_total == tables.E_VALUES[d])
 
     if "bruteforce" in modes:
         brute = analytics.white_whale_brute_force(d)
-        expanded = analytics.all_vertices_from_layers(layers)
+        expanded = analytics.all_vertices_from_layers(list(_layers(args.layers_dir, d)))
         check(f"brute force vs layered engine at d={d}", brute == expanded)
 
     if "families" in modes:

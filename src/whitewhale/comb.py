@@ -10,8 +10,7 @@ rejects one that fails it with no LP), and ``shift_extensions`` turns it
 into the set of generators that keep a shift-closed parent shift-closed,
 so the engine walks only those, and each child it builds has a
 nondecreasing point, so it is canonical as built.  Any other subset is
-sorted by ``sorting_permutation`` and ``permute_subset``;
-``canonicalize`` and ``filter_sorted_extension`` serve such subsets too.
+sorted by ``sorting_permutation`` and ``permute_subset``.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ def test_criterion_04_edge_counts(generated):
     ok = True
     for d in range(3, 7):
         layers, _ = generated(d)
-        records = analytics.layer_degrees(layers)
+        records = list(analytics.layer_degrees(layers))
         ok &= analytics.count_edges(records) == E[d]
         if d == 3:
             per_layer, middle = tables.D3_EDGE_DECOMPOSITION

@@ -50,7 +50,7 @@ def test_degree_table_d4(generated):
 def test_count_edges_d3_decomposition(generated):
     # the edges from below per layer, then the central edges from the top layer up
     layers, _ = generated(3)
-    records = analytics.layer_degrees(layers)
+    records = list(analytics.layer_degrees(layers))
     per_layer, middle = tables.D3_EDGE_DECOMPOSITION
     below = [sum(r.canonical.orbit_size * r.deg_below for r in recs) for recs in records[1:]]
     assert below == per_layer
@@ -65,7 +65,7 @@ def test_count_edges_d4(generated):
 
 def test_count_edges_halves_the_orbit_weighted_degree_sum(generated):
     layers, _ = generated(4)
-    records = analytics.layer_degrees(layers)
+    records = list(analytics.layer_degrees(layers))
     for layer, recs in zip(layers, records):
         assert [r.deg_below for r in recs] == [
             analytics.degree_below(e.subset, 4) for e in layer.entries
@@ -79,10 +79,10 @@ def test_degree_checks_are_exact():
     origin = comb.CanonicalVertex(0, (0, 0, 0), 4)
     unit = comb.CanonicalVertex(1, (0, 0, 1), 6)
     with pytest.raises(AssertionError, match="does not divide"):
-        analytics.layer_degrees(
+        list(analytics.layer_degrees(
             [engine.LayerRecord(3, 0, (origin,)), engine.LayerRecord(3, 1, (unit,))]
             + [engine.LayerRecord(3, k, ()) for k in (2, 3)]
-        )
+        ))
     odd = analytics.DegreeRecord(comb.CanonicalVertex(0, (0, 0, 0), 1), 0, 3)
     with pytest.raises(AssertionError, match="odd"):
         analytics.count_edges([[odd]])
@@ -95,11 +95,48 @@ def test_count_edges_needs_complete_layers(generated):
             analytics.count_edges(analytics.layer_degrees(bad))
 
 
+def test_layer_degrees_is_a_stream(generated):
+    # the pass holds two layers: the records of layer k - 1 go out before
+    # layer k + 1 is pulled, and a bad layer fails as soon as it is pulled
+    log = []
+
+    def logged(layers):
+        for layer in layers:
+            log.append(("pulled", layer.k))
+            yield layer
+
+    for d in (4, 5):
+        layers, _ = generated(d)
+        top = core.halfway_layer(d)
+        log.clear()
+        for k, records in enumerate(analytics.layer_degrees(logged(layers))):
+            assert len(records) == len(layers[k].entries)
+            log.append(("yielded", k))
+        assert log == [("pulled", 0)] + [
+            event for k in range(1, top + 1) for event in (("pulled", k), ("yielded", k - 1))
+        ] + [("yielded", top)]
+        assert analytics.count_edges(analytics.layer_degrees(logged(layers))) == tables.E_VALUES[d]
+
+    layers, _ = generated(3)
+    layers4, _ = generated(4)
+    for stream, last in (
+        ([], None),
+        (layers[:-1], ("pulled", 2)),  # no top layer
+        (layers[:1] + layers[2:], ("pulled", 2)),  # out of order
+        (layers[:2] + layers4[2:], ("pulled", 2)),  # d = 3, then d = 4
+        (layers + [engine.LayerRecord(3, 4, ())], ("pulled", 4)),  # past the top layer
+    ):
+        log.clear()
+        with pytest.raises(ValueError):
+            list(analytics.layer_degrees(logged(stream)))
+        assert (log[-1] if log else None) == last
+
+
 def test_layer_degrees_match_lp_degrees(generated):
     # membership degrees against the exact oracle on every vertex, top layer included
     for d in (3, 4, 5):
         layers, _ = generated(d)
-        records = analytics.layer_degrees(layers)
+        records = list(analytics.layer_degrees(layers))
         assert [len(recs) for recs in records] == [len(l.entries) for l in layers]
         for layer, recs in zip(layers, records):
             for e, r in zip(layer.entries, recs):

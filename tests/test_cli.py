@@ -601,6 +601,25 @@ def test_verify_reads_the_layer_files(tmp_path, capsys):
         assert "FAIL" in capsys.readouterr().out
 
 
+def test_bad_layer_midway_through_the_degree_pass(tmp_path, capsys):
+    # the degree pass writes rows while it reads the layers, so a layer that
+    # fails its checksum partway must leave the earlier outputs as they were
+    layers_dir = full_run(tmp_path, 4)
+    for command in ("edges", "degrees"):
+        assert run_cli(command, "-d", 4, "--layers-dir", layers_dir) == 0
+    outputs = {name: (layers_dir / name).read_bytes()
+               for name in ("edges_d4.csv", "degrees_d4.csv", "summary.json")}
+    listing = sorted(os.listdir(layers_dir))
+    k3 = layers_dir / "layer_d4_k3.www"
+    k3.write_text(k3.read_text().replace("1 3 5 |", "1 3 6 |"))
+    capsys.readouterr()
+    for argv in (("edges",), ("degrees",), ("verify", "--mode", "tables")):
+        assert run_cli(*argv, "-d", 4, "--layers-dir", layers_dir) == cli.EXIT_IO
+        assert "checksum mismatch" in capsys.readouterr().err
+        assert {name: (layers_dir / name).read_bytes() for name in outputs} == outputs
+        assert sorted(os.listdir(layers_dir)) == listing
+
+
 def test_verify_cli_bruteforce_needs_small_d(tmp_path):
     assert run_cli("verify", "-d", 5, "--mode", "bruteforce") == cli.EXIT_CONFIG
 
