@@ -21,8 +21,11 @@ dimension d has the code sum_i 2^(w (p_i + 1)), w = d.bit_length().  Base
 d < 2^w, so no digit carries, and two points have equal codes exactly
 when they sort to the same point.  The code of p - v(g) is the code of p
 plus the digit steps 2^(w p_i) - 2^(w (p_i + 1)) of the coordinates i of
-g, so one subset-sum table of the steps per vertex (``core.subset_sums``)
-gives every lower neighbour's code by one addition.  The + 1 keeps the
+g, so one subset-sum table of the steps per vertex, started at the code
+of p (``core.subset_sums``), holds every lower neighbour's code.  The
+walk picks the members' entries out of it with ``itertools.compress``
+over ``core.member_flags`` and keeps those in the tally with ``filter``,
+so no Python loop runs per member, only per hit.  The + 1 keeps the
 step of a zero coordinate, computed for the table but never used by a
 member, free of negative exponents.
 """
@@ -30,6 +33,7 @@ member, free of negative exponents.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import compress
 from math import comb as binom
 
 from . import comb, core, lp
@@ -76,14 +80,11 @@ def _count_lower(p, code, mask, orbit, d, tally) -> int:
     """How many of the points p - v(g), g in mask, have their code in ``tally``;
     adds ``orbit`` to the tally of each code hit.  ``code`` is ``_code(p)``."""
     w = d.bit_length()
-    steps = core.subset_sums([(1 << (w * x)) - (1 << (w * (x + 1))) for x in p])
-    hits = 0
-    for g in core.generators_of(mask):
-        c = code + steps[g]
-        if c in tally:
-            tally[c] += orbit
-            hits += 1
-    return hits
+    codes = core.subset_sums([(1 << (w * x)) - (1 << (w * (x + 1))) for x in p], code)
+    hits = list(filter(tally.__contains__, compress(codes, core.member_flags(mask))))
+    for c in hits:
+        tally[c] += orbit
+    return len(hits)
 
 
 def layer_degrees(layers):

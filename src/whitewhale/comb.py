@@ -212,12 +212,24 @@ def permute_generator(g: int, perm, d: int) -> int:
 
 
 def permute_subset(S: int, perm, d: int) -> int:
-    out = 0
-    while S:
-        low = S & -S
-        out |= 1 << (permute_generator(low.bit_length(), perm, d) - 1)
-        S ^= low
-    return out
+    """Apply a coordinate permutation to every member of S, as
+    ``permute_generator`` does to one: new coord j = old coord perm[j].
+
+    The permutation is applied as adjacent coordinate swaps, each a masked
+    shift of the whole mask: swapping coordinates i and i + 1 moves the
+    members in A_i (``shift_table``) right by s_i and those in A_i >> s_i,
+    which have i clear and i + 1 set, left by s_i, and keeps the rest.
+    """
+    table = shift_table(d)
+    order = list(range(d))  # order[j]: the old coordinate now at coordinate j
+    for j in range(d):
+        # bring old coordinate perm[j] from where it sits now down to coordinate j
+        for i in reversed(range(j, order.index(perm[j], j))):
+            A, s = table[i]
+            B = A >> s
+            S = (S & ~(A | B)) | (S & A) >> s | (S & B) << s
+            order[i], order[i + 1] = order[i + 1], order[i]
+    return S
 
 
 def canonicalize(S: int, p, d: int) -> CanonicalVertex:

@@ -3,9 +3,12 @@ import csv
 import hashlib
 import json
 import os
+import random
 import re
+import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -90,6 +93,104 @@ def test_layer_file_rejects_forged_entries(tmp_path):
             layerfile.read_layer(str(path), 4, 2)
         assert run_cli(*argv) == cli.EXIT_IO
         assert (layers_dir / "summary.json").read_bytes() == summary
+
+
+def test_layer_file_errors_keep_their_order(tmp_path):
+    # entries are checked while the body streams through the checksum, but a
+    # bad entry is reported only after the checksum, d, k and the count pass
+    path = tmp_path / "layer_d4_k2.www"
+    path.write_text(f"{layerfile.MAGIC} d=4 k=2 n=1 sha256={'0' * 64}\na 3 | 0 0 1 2\n")
+    with pytest.raises(layerfile.LayerFileError, match="checksum"):
+        layerfile.read_layer(str(path), 4, 2)
+    _forge(path, 4, 2, ["a 3 | 0 0 1 2"])
+    path.write_text(path.read_text().replace(" n=1 ", " n=2 "))
+    with pytest.raises(layerfile.LayerFileError, match="announces 2 entries, holds 1"):
+        layerfile.read_layer(str(path), 4, 2)
+    for d, k, message in ((4, 3, "k=2, expected 3"), (5, 2, "d=4, expected 5")):
+        _forge(path, 4, 2, ["a 3 | 0 0 1 2"])
+        with pytest.raises(layerfile.LayerFileError, match=message):
+            layerfile.read_layer(str(path), d, k)
+
+
+def test_layer_file_lines_as_text(tmp_path):
+    # the body is read in text mode: CRLF line ends read as LF ones, under
+    # the same checksum; an id text that int() reads, such as "03", still
+    # counts, and an id far past 2^d - 1 is inconsistent without a bit that large
+    path = tmp_path / "layer_d4_k2.www"
+    _forge(path, 4, 2, ["1 3 | 0 0 1 2"])
+    want = layerfile.read_layer(str(path), 4, 2)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert layerfile.read_layer(str(path), 4, 2) == want
+    _forge(path, 4, 2, ["1 03 | 0 0 1 2"])
+    assert layerfile.read_layer(str(path), 4, 2) == want
+    _forge(path, 4, 2, ["1 99999999999999 | 0 0 1 2"])
+    with pytest.raises(layerfile.LayerFileError, match="inconsistent"):
+        layerfile.read_layer(str(path), 4, 2)
+
+
+def test_layer_file_read_keeps_no_copy_of_the_file(tmp_path):
+    # the read streams the body: beyond the record it returns, it allocates
+    # less than half the file size (a whole-file read held the text, its
+    # encoding and its lines at once, 3.3 times the file).  The layer is made
+    # up, about as large as the largest of d = 7 (431 KB): random 58-subsets
+    # moved to their sorted images, one per point, which the read accepts
+    # since it checks no vertex property
+    d, k = 7, 58
+    rng = random.Random(29)
+    by_point = {}
+    while len(by_point) < 2000:
+        S = sum(1 << g for g in rng.sample(range(core.generator_count(d)), k))
+        S = comb.permute_subset(S, comb.sorting_permutation(core.point_of(S, d)), d)
+        p = core.point_of(S, d)
+        by_point[p] = comb.CanonicalVertex(S, p, comb.orbit_size(p, d))
+    layer = engine.LayerRecord(d, k, tuple(by_point[p] for p in sorted(by_point)))
+    path = tmp_path / "layer.www"
+    layerfile.write_layer(str(path), layer)
+    layerfile.read_layer(str(path), 7, layer.k)  # builds the per-d tables the read keeps
+    tracemalloc.start()
+    try:
+        back = layerfile.read_layer(str(path), 7, layer.k)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == layer
+    assert peak - kept < path.stat().st_size / 2, (peak, kept, path.stat().st_size)
+
+
+def test_render_writes_every_record_alike(tmp_path):
+    # the ids of each entry, from the per-byte text table, against a
+    # member-by-member join, for masks that are no vertices, one per point,
+    # and entries in any order
+    rng = random.Random(29)
+    for d in (3, 5, 7):
+        full = core.full_mask(d)
+        masks = [0, full, *(rng.getrandbits(full.bit_length()) for _ in range(30))]
+        by_point = {core.point_of(S, d): S for S in masks}
+        entries = [comb.CanonicalVertex(S, p, 2) for p, S in by_point.items()]
+        text = layerfile.render(engine.LayerRecord(d, 1, tuple(entries)))
+        body = [
+            f"{' '.join(map(str, core.generators_of(e.subset)))} | {' '.join(map(str, e.point))}".lstrip()
+            for e in sorted(entries, key=lambda e: e.point)
+        ]
+        assert text.splitlines()[1:] == body
+        rng.shuffle(entries)
+        assert layerfile.render(engine.LayerRecord(d, 1, tuple(entries))) == text
+
+
+def test_render_builds_rows_only_where_members_are():
+    # layer 1 at d = 16, the generators 2^j - 1: their 16 members sit in 14
+    # byte positions of a mask's 8,192, and render builds no other id row
+    d = 16
+    entries = [
+        comb.CanonicalVertex(1 << (g - 1), core.point_of(1 << (g - 1), d), 1)
+        for g in ((1 << j) - 1 for j in range(1, d + 1))
+    ]
+    layerfile._id_row.cache_clear()
+    text = layerfile.render(engine.LayerRecord(d, 1, tuple(entries)))
+    assert layerfile._id_row.cache_info().currsize == 14
+    assert [line.split(" |")[0] for line in text.splitlines()[1:]] == [
+        str((1 << j) - 1) for j in range(1, d + 1)
+    ]
 
 
 def test_merge_partials_rejects_mixed(generated):
@@ -444,6 +545,38 @@ def test_option_surface():
     assert _options("degrees") == common
     assert _options("verify") == common | {"--mode"}
     assert _options("merge-shards") == common | {"-k", "--total"}
+
+
+def test_parser_is_built_once_and_reused(tmp_path):
+    # one parser serves every cli.main call of a process: a call that fails
+    # while parsing, then a valid edges call, give the exit codes and files
+    # of two fresh processes
+    assert cli.build_parser() is cli.build_parser()
+    here = full_run(tmp_path / "here", 4)
+    fresh = tmp_path / "fresh"
+    shutil.copytree(here, fresh)
+    argvs = (["edges", "-d", "99", "--layers-dir", "x"], ["edges", "-d", "4", "--layers-dir"])
+    codes = [run_cli(*argvs[0]), run_cli(*argvs[1], here)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    fresh_codes = [
+        subprocess.run(
+            [sys.executable, "-m", "whitewhale.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+        ).returncode
+        for argv in (argvs[0], argvs[1] + [str(fresh)])
+    ]
+    assert codes == fresh_codes == [cli.EXIT_CONFIG, cli.EXIT_OK]
+    assert sorted(os.listdir(here)) == sorted(os.listdir(fresh))
+    for name in os.listdir(here):
+        assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_cached_parser_runs_the_command_as_it_is_now(tmp_path, monkeypatch):
+    # the parser is built before the patch, and the patched command still runs
+    cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_edges", lambda args: 7)
+    assert run_cli("edges", "-d", 3, "--layers-dir", tmp_path) == 7
 
 
 def test_unknown_option_fails_at_parsing(tmp_path):

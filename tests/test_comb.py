@@ -222,3 +222,18 @@ def test_permute_generator_roundtrip():
         inverse = tuple(perm.index(j) for j in range(3))
         for g in range(1, 8):
             assert comb.permute_generator(comb.permute_generator(g, perm, 3), inverse, 3) == g
+
+
+def test_permute_subset_matches_permute_generator_exhaustive():
+    # the masked-shift swaps against the member-by-member reference: every
+    # permutation at d <= 5, on every mask at d <= 3 and on a sample above
+    rng = random.Random(29)
+    for d in (2, 3, 4, 5):
+        full = core.full_mask(d)
+        masks = range(full + 1) if d <= 3 else [0, full] + [rng.getrandbits(full.bit_length()) for _ in range(40)]
+        for perm in itertools.permutations(range(d)):
+            for S in masks:
+                want = 0
+                for g in core.generators_of(S):
+                    want |= 1 << (comb.permute_generator(g, perm, d) - 1)
+                assert comb.permute_subset(S, perm, d) == want, (d, perm, S)
