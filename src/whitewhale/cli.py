@@ -1,6 +1,8 @@
 """Command-line surface.
 
-Subcommands: generate, edges, degrees, verify, merge-shards.
+Subcommands: generate, edges, degrees, verify, merge-shards.  ``generate
+--resume-from K --shard I/N`` decides the points I mod N of the step to
+layer K + 1, and merge-shards joins the N disjoint parts.
 Exit codes: 0 success, 1 failed verification, 2 configuration error,
 3 I/O error, 4 internal consistency failure.
 """
@@ -161,7 +163,6 @@ def cmd_generate(args) -> int:
             layerfile.layer_path(args.layers_dir, d, args.resume_from), d, args.resume_from
         )
 
-    # a shard resumes from the entries i mod n of layer K and stops at K + 1
     if args.shard is not None:
         if start is None:
             raise ValueError("--shard requires --resume-from")
@@ -172,12 +173,10 @@ def cmd_generate(args) -> int:
             )
         if start.k >= cfg.max_layer:
             raise ValueError(f"cannot shard layer {start.k}: the max layer is {cfg.max_layer}")
-        i, n = args.shard
-        start = engine.LayerRecord(d, start.k, start.entries[i::n])
-        cfg = engine.RunConfig(d, start.k + 1, cfg.worker_count)
+        cfg = engine.RunConfig(d, start.k + 1, cfg.worker_count, args.shard)
 
     # the summary needs every layer; a resumed run reads those below its start
-    complete = args.shard is None and cfg.max_layer == core.halfway_layer(d)
+    complete = cfg.shard is None and cfg.max_layer == core.halfway_layer(d)
     rows = []
     if complete and start is not None:
         rows = [_summary_row(layer) for layer in _layers(args.layers_dir, d, start.k)]
@@ -340,13 +339,8 @@ def cmd_merge_shards(args) -> int:
     ]
     merged = engine.merge_partials(partials)
     layerfile.write_layer(layerfile.layer_path(args.layers_dir, args.d, args.k), merged)
-    # a point reached from parents in two slices was decided in each shard
-    found = sum(len(p.entries) for p in partials)
-    print(
-        f"layer {args.k}: {len(merged.entries)} entries merged from {found} shard entries, "
-        f"{found - len(merged.entries)} repeats dropped",
-        file=sys.stderr,
-    )
+    print(f"layer {args.k}: {len(merged.entries)} entries merged from {args.total} shards",
+          file=sys.stderr)
     return EXIT_OK
 
 

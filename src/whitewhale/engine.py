@@ -22,7 +22,8 @@ point and pushes each child from the certificate of the parent at hand
 until one push certifies it; only the oracle calls for the children that
 no push certified go to the worker pool, in point order, so the output
 and every count on the layer records are identical for any worker
-count.
+count.  Shard i/n of a step walks every parent but keeps only the points
+i, i + n, ... of the step, so the shards of one step are disjoint.
 """
 
 from __future__ import annotations
@@ -55,13 +56,13 @@ class LayerRecord(
         return sum(e.orbit_size for e in self.entries)
 
 
-class RunConfig(core.Record, namedtuple("RunConfig", "d max_layer worker_count")):
-    """The dimension, the top layer (default: the halfway layer 2^{d-1} - 1)
-    and the worker count of a run; ValueError on any out of range."""
+class RunConfig(core.Record, namedtuple("RunConfig", "d max_layer worker_count shard")):
+    """The dimension, the top layer (default: the halfway layer 2^{d-1} - 1),
+    the worker count and the shard (i, n) or None of a run; ValueError on any out of range."""
 
     __slots__ = ()
 
-    def __new__(cls, d: int, max_layer: int | None = None, worker_count: int = 1):
+    def __new__(cls, d: int, max_layer: int | None = None, worker_count: int = 1, shard=None):
         core.check_dimension(d)
         top = core.halfway_layer(d)
         if max_layer is None:
@@ -70,7 +71,9 @@ class RunConfig(core.Record, namedtuple("RunConfig", "d max_layer worker_count")
             raise ValueError(f"max_layer must be in [0, {top}], got {max_layer}")
         if worker_count < 1:
             raise ValueError("worker_count must be positive")
-        return super().__new__(cls, d, max_layer, worker_count)
+        if shard is not None and not 0 <= shard[0] < shard[1]:
+            raise ValueError(f"shard index {shard[0]} out of range for total {shard[1]}")
+        return super().__new__(cls, d, max_layer, worker_count, shard)
 
 
 def layer_zero(d: int) -> LayerRecord:
@@ -95,7 +98,8 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
     succeeds.  Parents read from a layer file have no certificate, so
     their children are all left to the oracle.
     Oracle: one ``lp.vertex_feasible`` call per point that no push
-    certified, in point order, inline or over the executor's workers.
+    certified, in point order (with cfg.shard = (i, n), only for the points
+    i, i + n, ... of the step), inline or over the executor's workers.
     Output: the feasible children with their certificates and orbit sizes,
     already sorted by point, and the step's counts on the layer record:
     ``lp_calls`` oracle calls, ``by_simplex`` of them decided by the
@@ -134,7 +138,8 @@ def expand_layer(layer: LayerRecord, cfg: RunConfig, executor=None) -> LayerReco
                 if src is None:
                     src = lp.push_source(e.certificate, P, d)
                 child[1] = lp.push(src, g, d)
-    points = [p for p in sorted(children) if p not in ambiguous]
+    i, n = cfg.shard or (0, 1)
+    points = [p for p in sorted(children) if p not in ambiguous][i::n]
     masks = [children[p][0] for p in points if children[p][1] is None]
     if executor is None or not masks:
         results = [lp.vertex_feasible(S, d) for S in masks]
@@ -163,20 +168,18 @@ def merge_partials(parts: list[LayerRecord]) -> LayerRecord:
     """Union of the shard layers of one (d, k), sorted by point.
 
     Raises ValueError on empty or mixed (d, k) input, and AssertionError
-    when two parts hold different subsets for one point.
+    when two entries share a point: the shards of one step are disjoint.
     """
     if not parts:
         raise ValueError("nothing to merge")
     d, k = parts[0].d, parts[0].k
-    merged: dict[tuple[int, ...], comb.CanonicalVertex] = {}
-    for part in parts:
-        if (part.d, part.k) != (d, k):
-            raise ValueError("cannot merge partial layers of different (d, k)")
-        for e in part.entries:
-            prev = merged.setdefault(e.point, e)
-            if prev.subset != e.subset:
-                raise AssertionError(f"two vertex subsets share the point {e.point}")
-    return LayerRecord(d, k, tuple(merged[p] for p in sorted(merged)))
+    if any((part.d, part.k) != (d, k) for part in parts):
+        raise ValueError("cannot merge partial layers of different (d, k)")
+    entries = sorted((e for part in parts for e in part.entries), key=lambda e: e.point)
+    for a, b in zip(entries, entries[1:]):
+        if a.point == b.point:
+            raise AssertionError(f"two shard entries share the point {a.point}")
+    return LayerRecord(d, k, tuple(entries))
 
 
 def generate(cfg: RunConfig, start: LayerRecord | None = None):
@@ -184,9 +187,12 @@ def generate(cfg: RunConfig, start: LayerRecord | None = None):
 
     With ``start`` given, yields layers start.k + 1 .. max_layer and is
     identical to the tail of a fresh run; a start above max_layer is a
-    ValueError.  One worker pool serves the whole run when
-    ``_pool_size(cfg)`` is above 1.
+    ValueError, and so is a shard of any but the one step start.k -> max_layer:
+    a later step would start from a partial layer.  One worker pool serves
+    the whole run when ``_pool_size(cfg)`` is above 1.
     """
+    if cfg.shard is not None and (start is None or cfg.max_layer != start.k + 1):
+        raise ValueError("a shard expands one layer step: give a start layer k and max_layer k + 1")
     if start is None:
         layer = layer_zero(cfg.d)
         yield layer

@@ -391,7 +391,7 @@ def test_shard_index_out_of_range_is_config_error(tmp_path, capsys):
 
 
 def test_shard_runs_on_its_threads(tmp_path, inline_pools):
-    # a shard is a resumed run of a slice of its start layer: --threads
+    # a shard is a resumed run that keeps a slice of the step's points: --threads
     # opens one pool for its oracle calls, and the part file does not change
     layers_dir = full_run(tmp_path, 5)
     part = layers_dir / "layer_d5_k11.part0of2.www"
@@ -438,34 +438,53 @@ def test_shard_and_merge_cli(tmp_path):
     assert (layers_dir / "layer_d4_k4.www").read_bytes() == reference
 
 
-def test_merge_shards_reports_the_repeats(tmp_path, capsys):
-    # a point reached from parents in both slices of layer 10 is decided in each shard
-    layers_dir = full_run(tmp_path, 5)
-    reference = (layers_dir / "layer_d5_k11.www").read_bytes()
-    os.remove(layers_dir / "layer_d5_k11.www")
-    for i in range(2):
-        argv = ("--resume-from", 10, "--shard", f"{i}/2", "--quiet")
-        assert run_cli("generate", "-d", 5, "--layers-dir", layers_dir, *argv) == 0
+@pytest.mark.parametrize(
+    "d, k, entries, by_simplex, candidates",
+    [(5, 11, [6, 6], [0, 0], 23), (6, 13, [11, 10, 10], [0, 2, 0], 72)],
+    ids=["d5", "d6"],
+)
+def test_shard_split_is_exact(tmp_path, capsys, d, k, entries, by_simplex, candidates):
+    # shard i/n keeps the points i mod n of the step from layer k - 1, whose
+    # parents carry no certificate: every kept point is one LP call, and the
+    # parts add up to the unsharded step
+    layers_dir = full_run(tmp_path, d)
+    reference = (layers_dir / f"layer_d{d}_k{k}.www").read_bytes()
+    os.remove(layers_dir / f"layer_d{d}_k{k}.www")
+    n = len(entries)
+    argv = ("generate", "-d", d, "--layers-dir", layers_dir, "--resume-from", k - 1)
     capsys.readouterr()
-    argv = ("-d", 5, "-k", 11, "--total", 2, "--layers-dir", layers_dir)
-    assert run_cli("merge-shards", *argv) == 0
-    assert capsys.readouterr().err.splitlines() == [
-        "layer 11: 12 entries merged from 19 shard entries, 7 repeats dropped"
+    for i in range(n):
+        assert run_cli(*argv, "--shard", f"{i}/{n}") == 0
+    assert run_cli("merge-shards", "-d", d, "-k", k, "--total", n, "--layers-dir", layers_dir) == 0
+    assert (layers_dir / f"layer_d{d}_k{k}.www").read_bytes() == reference
+    assert run_cli(*argv, "--max-layer", k) == 0
+    err = capsys.readouterr().err
+    assert re.sub(r", [0-9.]* seconds$", "", err, flags=re.M).splitlines() == [
+        *(
+            f"layer {k}: {e} entries, {candidates} candidates, {e} LP calls, "
+            f"{b} by simplex, 0 pushed"
+            for e, b in zip(entries, by_simplex)
+        ),
+        f"layer {k}: {sum(entries)} entries merged from {n} shards",
+        f"layer {k}: {sum(entries)} entries, {candidates} candidates, {sum(entries)} LP calls, "
+        f"{sum(by_simplex)} by simplex, 0 pushed",
     ]
-    assert (layers_dir / "layer_d5_k11.www").read_bytes() == reference
 
 
-def test_merge_shards_conflict_is_internal_error(tmp_path):
-    # {1, 6} and {2, 5} both sum to (1, 1, 1) at d=3
-    for i, ids in enumerate(([1, 6], [2, 5])):
-        entry = comb.CanonicalVertex(core.mask_of(ids), (1, 1, 1), 1)
-        part = engine.LayerRecord(3, 2, (entry,))
-        layerfile.write_layer(layerfile.layer_path(str(tmp_path), 3, 2, (i, 2)), part)
-    assert (
-        run_cli("merge-shards", "-d", 3, "-k", 2, "--total", 2, "--layers-dir", tmp_path)
-        == cli.EXIT_INTERNAL
-    )
-    assert not (tmp_path / "layer_d3_k2.www").exists()
+def test_merge_shards_conflict_is_internal_error(tmp_path, capsys):
+    # {1, 6} and {2, 5} both sum to (1, 1, 1) at d=3; the parts of one step are
+    # disjoint, so even the same entry in two parts is refused
+    for other in ([2, 5], [1, 6]):
+        for i, ids in enumerate(([1, 6], other)):
+            entry = comb.CanonicalVertex(core.mask_of(ids), (1, 1, 1), 1)
+            part = engine.LayerRecord(3, 2, (entry,))
+            layerfile.write_layer(layerfile.layer_path(str(tmp_path), 3, 2, (i, 2)), part)
+        assert (
+            run_cli("merge-shards", "-d", 3, "-k", 2, "--total", 2, "--layers-dir", tmp_path)
+            == cli.EXIT_INTERNAL
+        )
+        assert "share the point (1, 1, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "layer_d3_k2.www").exists()
 
 
 def test_shard_at_or_past_max_layer_is_config_error(tmp_path):

@@ -237,15 +237,31 @@ def test_point_reached_by_two_masks_gets_no_oracle_call(monkeypatch):
 
 
 def test_shard_union_equals_unsharded(generated):
-    # a shard expands a slice of its start layer
+    # shard i/3 walks every parent and keeps the points i mod 3 of the step:
+    # disjoint parts whose counts add up to the unsharded step's
     layers, _ = generated(4)
-    start = layers[3]
-    parts = [
-        engine.expand_layer(engine.LayerRecord(4, 3, start.entries[i::3]), engine.RunConfig(d=4))
-        for i in range(3)
-    ]
+    parts = [engine.expand_layer(layers[3], engine.RunConfig(d=4, shard=(i, 3))) for i in range(3)]
+    held = [set(points(part)) for part in parts]
+    assert sum(map(len, held)) == len(set().union(*held)) == len(layers[4].entries)
+    for field in ("lp_calls", "by_simplex", "pushed"):
+        assert sum(getattr(part, field) for part in parts) == getattr(layers[4], field)
+    assert {part.candidates for part in parts} == {layers[4].candidates}
     merged = engine.merge_partials(parts)
     assert layerfile.render(merged) == layerfile.render(layers[4])
+
+
+def test_shard_is_one_layer_step(generated):
+    # a second step of a shard would be expanded from a partial layer
+    layers, _ = generated(4)
+    for start, max_layer in ((None, 1), (layers[3], 5), (layers[3], 7)):
+        cfg = engine.RunConfig(d=4, max_layer=max_layer, shard=(0, 2))
+        with pytest.raises(ValueError, match="one layer step"):
+            list(engine.generate(cfg, start))
+    cfg = engine.RunConfig(d=4, max_layer=4, shard=(1, 2))
+    assert [layer.k for layer in engine.generate(cfg, layers[3])] == [4]
+    for shard in ((2, 2), (-1, 2), (0, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            engine.RunConfig(d=4, shard=shard)
 
 
 def test_point_injectivity_on_vertices(generated):
