@@ -2,7 +2,8 @@
 
 Subcommands: generate, edges, degrees, verify, merge-shards.  ``generate
 --resume-from K --shard I/N`` decides the points I mod N of the step to
-layer K + 1, and merge-shards joins the N disjoint parts.
+layer K + 1, and merge-shards joins the N disjoint parts.  ``verify -d D``
+runs every check with ground truth at D in one pass over the layer files.
 Exit codes: 0 success, 1 failed verification, 2 configuration error,
 3 I/O error, 4 internal consistency failure.
 """
@@ -73,11 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the layer files against embedded ground truth")
     _common(p)
-    p.add_argument(
-        "--mode",
-        choices=["tables", "bruteforce", "families", "all"],
-        default="all",
-    )
 
     p = sub.add_parser("merge-shards", help="union sharded partial layer files")
     p.add_argument("-d", type=_dimension, required=True)
@@ -153,6 +149,20 @@ def _layers(layers_dir: str, d: int, stop: int | None = None):
 def cmd_generate(args) -> int:
     d = args.d
     cfg = engine.RunConfig(d=d, max_layer=args.max_layer, worker_count=args.threads)
+    # refusals that need no input file come before any directory is made
+    if args.shard is not None:
+        if args.resume_from is None:
+            raise ValueError("--shard requires --resume-from")
+        if args.store_certificates:
+            raise ValueError(
+                "--store-certificates does not apply to --shard "
+                "(merge-shards merges no certificate files)"
+            )
+        if args.resume_from >= cfg.max_layer:
+            raise ValueError(
+                f"cannot shard layer {args.resume_from}: the max layer is {cfg.max_layer}"
+            )
+        cfg = engine.RunConfig(d, args.resume_from + 1, cfg.worker_count, args.shard)
     os.makedirs(args.layers_dir, exist_ok=True)
     summary = _load_summary(args.layers_dir, d)
     t0 = time.monotonic()
@@ -162,18 +172,6 @@ def cmd_generate(args) -> int:
         start = layerfile.read_layer(
             layerfile.layer_path(args.layers_dir, d, args.resume_from), d, args.resume_from
         )
-
-    if args.shard is not None:
-        if start is None:
-            raise ValueError("--shard requires --resume-from")
-        if args.store_certificates:
-            raise ValueError(
-                "--store-certificates does not apply to --shard "
-                "(merge-shards merges no certificate files)"
-            )
-        if start.k >= cfg.max_layer:
-            raise ValueError(f"cannot shard layer {start.k}: the max layer is {cfg.max_layer}")
-        cfg = engine.RunConfig(d, start.k + 1, cfg.worker_count, args.shard)
 
     # the summary needs every layer; a resumed run reads those below its start
     complete = cfg.shard is None and cfg.max_layer == core.halfway_layer(d)
@@ -191,7 +189,7 @@ def cmd_generate(args) -> int:
             )
         layerfile.write_layer(layerfile.layer_path(args.layers_dir, d, layer.k, args.shard), layer)
         if args.store_certificates and layer.k > 0:
-            _write_certificates(args.layers_dir, layer)
+            layerfile.write_certificates(layerfile.certs_path(args.layers_dir, d, layer.k), layer)
         rows.append(_summary_row(layer))
 
     if complete:
@@ -207,13 +205,6 @@ def cmd_generate(args) -> int:
 
 def _summary_row(layer: engine.LayerRecord) -> dict:
     return {"k": layer.k, "canonical": len(layer.entries), "orbit_sum": layer.orbit_sum}
-
-
-def _write_certificates(layers_dir: str, layer: engine.LayerRecord) -> None:
-    with layerfile.atomic_open(layerfile.certs_path(layers_dir, layer.d, layer.k)) as fh:
-        for e in layer.entries:
-            point = " ".join(str(x) for x in e.point)
-            fh.write(point + " | " + " ".join(str(c) for c in e.certificate) + "\n")
 
 
 def _write_degree_csv(args, path: str, columns: int, first: int = 0) -> int:
@@ -254,37 +245,33 @@ def cmd_degrees(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Run every check that has ground truth at d, each layer file read once:
+    a, o, the d = 3 and 4 rows and e for d <= 9, the brute force for d <= 4,
+    and the vertex families at every d."""
     from . import tables
 
     d = args.d
-    checks: list[tuple[str, bool]] = []
+    checks: list[bool] = []
 
     def check(name: str, ok: bool):
-        checks.append((name, ok))
+        checks.append(ok)
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
 
-    modes = {args.mode} if args.mode != "all" else {"tables", "bruteforce", "families"}
-    # past the d a mode has ground truth for, "all" drops it and the mode itself is refused
-    for mode, top in (("bruteforce", 4), ("tables", max(tables.A_VALUES))):
-        if mode in modes and d > top:
-            if args.mode != "all":
-                print(f"error: {mode} mode needs d <= {top}, got {d}", file=sys.stderr)
-                return EXIT_CONFIG
-            modes.discard(mode)
-
-    if "tables" in modes:
+    if d <= max(tables.A_VALUES):
         a = o = 0
-        rows = []  # the rows of tables.D3_ROWS / D4_ROWS, at d = 3 and 4
+        rows = []  # at d <= 4: the rows of tables.D3_ROWS / D4_ROWS
+        vertices = set()  # at d <= 4: every vertex subset, orbit by orbit
 
         def tallied():
             nonlocal a, o
             for k, records in enumerate(analytics.layer_degrees(_layers(args.layers_dir, d))):
                 a += sum(r.canonical.orbit_size for r in records)
                 o += len(records)
-                for r in records if d in (3, 4) else ():
+                for r in records if d <= 4 else ():
                     e = r.canonical
                     ids = tuple(core.generators_of(e.subset))
                     rows.append((k, ids, e.point, e.orbit_size, r.deg_below, r.deg_above))
+                    vertices.update(analytics.expand_orbit(e, d))
                 yield records
 
         e_total = analytics.count_edges(tallied())
@@ -296,36 +283,33 @@ def cmd_verify(args) -> int:
             check(f"degree table d={d} row-for-row", [r[4:] for r in rows] == [r[4:] for r in want])
         if d in tables.E_VALUES:
             check(f"e({d}) == {tables.E_VALUES[d]}", e_total == tables.E_VALUES[d])
+        if d <= 4:
+            brute = analytics.white_whale_brute_force(d)
+            check(f"brute force vs layered engine at d={d}", brute == vertices)
 
-    if "bruteforce" in modes:
-        brute = analytics.white_whale_brute_force(d)
-        expanded = analytics.all_vertices_from_layers(list(_layers(args.layers_dir, d)))
-        check(f"brute force vs layered engine at d={d}", brute == expanded)
+    ok = True
+    for k in range(1, d):
+        try:
+            analytics.family_degree_check(d, k)
+        except AssertionError:
+            ok = False
+        ok &= core.point_of(analytics.family_U(d, k), d) == analytics.family_U_point(d, k)
+    check(f"U-family closed-form points and degrees d={d}", ok)
+    certs_ok = all(
+        lp.verify_certificate(c, S, d)
+        for k in range(1, d)
+        for S, c in analytics.family_U_certificates(d, k)
+    )
+    check(f"U-family closed-form certificates d={d}", certs_ok)
+    w_ok = all(
+        lp.vertex_feasible(analytics.family_W(d, k), d).feasible
+        and analytics.family_W(d, k).bit_count() == (1 << k) - 1
+        and core.point_of(analytics.family_W(d, k), d) == analytics.family_W_point(d, k)
+        for k in range(1, d + 1)
+    )
+    check(f"W-family vertices and closed-form points d={d}", w_ok)
 
-    if "families" in modes:
-        ok = True
-        for k in range(1, d):
-            try:
-                analytics.family_degree_check(d, k)
-            except AssertionError:
-                ok = False
-            ok &= core.point_of(analytics.family_U(d, k), d) == analytics.family_U_point(d, k)
-        check(f"U-family closed-form points and degrees d={d}", ok)
-        certs_ok = all(
-            lp.verify_certificate(c, S, d)
-            for k in range(1, d)
-            for S, c in analytics.family_U_certificates(d, k)
-        )
-        check(f"U-family closed-form certificates d={d}", certs_ok)
-        w_ok = all(
-            lp.vertex_feasible(analytics.family_W(d, k), d).feasible
-            and analytics.family_W(d, k).bit_count() == (1 << k) - 1
-            and core.point_of(analytics.family_W(d, k), d) == analytics.family_W_point(d, k)
-            for k in range(1, d + 1)
-        )
-        check(f"W-family vertices and closed-form points d={d}", w_ok)
-
-    return EXIT_OK if all(ok for _, ok in checks) else EXIT_VERIFY
+    return EXIT_OK if all(checks) else EXIT_VERIFY
 
 
 def cmd_merge_shards(args) -> int:

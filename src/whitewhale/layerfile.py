@@ -4,7 +4,9 @@ One ASCII line per canonical vertex, ascending generator ids, a "|"
 separator, then the point coordinates; entries sorted by point so files
 are stable and diffable.  A single header line carries the dimension,
 layer index, entry count, and a checksum of the body that is validated
-before any resume.
+before any resume.  A certificate file (``.certs``, written by
+``generate --store-certificates``) holds one line per entry in entry
+order: the point, " | ", then the certificate.
 
 ``read_layer`` streams the body line by line in text mode: each line goes
 to an incremental sha256 and is parsed as it comes, so no copy of the
@@ -48,6 +50,14 @@ def layer_path(layers_dir: str, d: int, k: int, shard=None) -> str:
 
 def certs_path(layers_dir: str, d: int, k: int) -> str:
     return os.path.join(layers_dir, f"layer_d{d}_k{k}.certs")
+
+
+def write_certificates(path: str, layer: LayerRecord) -> None:
+    """Write the ``.certs`` file of a layer, in the format above, to path."""
+    with atomic_open(path) as fh:
+        for e in layer.entries:
+            point = " ".join(str(x) for x in e.point)
+            fh.write(point + " | " + " ".join(str(c) for c in e.certificate) + "\n")
 
 
 @contextlib.contextmanager

@@ -345,7 +345,7 @@ def test_generate_rejects_bad_dimension(tmp_path, capsys):
     [
         ("edges", "-d", 1),
         ("degrees", "-d", 0),
-        ("verify", "-d", 17, "--mode", "tables"),
+        ("verify", "-d", 17),
         ("merge-shards", "-d", 1, "-k", 0, "--total", 1),
     ],
     ids=lambda argv: argv[0],
@@ -377,6 +377,20 @@ def test_shard_without_resume_is_config_error(tmp_path):
         run_cli("generate", "-d", 3, "--layers-dir", tmp_path, "--shard", "nope", "--quiet")
         == cli.EXIT_CONFIG
     )
+
+
+def test_shard_refusals_make_no_directory(tmp_path, capsys):
+    # the refusals that need no input file come before the layers directory is made
+    layers_dir = tmp_path / "new"
+    for extra, message in (
+        ((), "--shard requires --resume-from"),
+        (("--resume-from", 2, "--store-certificates"), "--store-certificates does not apply"),
+        (("--resume-from", 3), "cannot shard layer 3: the max layer is 3"),
+    ):
+        argv = ("generate", "-d", 3, "--layers-dir", layers_dir, "--shard", "0/2", "--quiet")
+        assert run_cli(*argv, *extra) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not layers_dir.exists()
 
 
 def test_shard_index_out_of_range_is_config_error(tmp_path, capsys):
@@ -562,7 +576,7 @@ def test_option_surface():
     }
     assert _options("edges") == common
     assert _options("degrees") == common
-    assert _options("verify") == common | {"--mode"}
+    assert _options("verify") == common
     assert _options("merge-shards") == common | {"-k", "--total"}
 
 
@@ -598,8 +612,12 @@ def test_cached_parser_runs_the_command_as_it_is_now(tmp_path, monkeypatch):
     assert run_cli("edges", "-d", 3, "--layers-dir", tmp_path) == 7
 
 
-def test_unknown_option_fails_at_parsing(tmp_path):
+def test_unknown_option_fails_at_parsing(tmp_path, capsys):
     assert run_cli("edges", "-d", 3, "--layers-dir", tmp_path, "--threads", 1) == cli.EXIT_CONFIG
+    # verify has no modes: it runs every check with ground truth at d
+    argv = ("verify", "-d", 3, "--layers-dir", tmp_path, "--mode", "tables")
+    assert run_cli(*argv) == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --mode tables" in capsys.readouterr().err
 
 
 def test_summary_write_is_atomic(tmp_path, monkeypatch):
@@ -624,7 +642,7 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, generated):
     bare = [comb.CanonicalVertex(e.subset, e.point, e.orbit_size) for e in layer.entries]
     third_uncertified = engine.LayerRecord(4, 4, layer.entries[:2] + tuple(bare[2:]))
     with pytest.raises(TypeError):
-        cli._write_certificates(str(tmp_path), third_uncertified)
+        layerfile.write_certificates(layerfile.certs_path(str(tmp_path), 4, 4), third_uncertified)
 
     def failing_render(layer):
         raise RuntimeError("render failed")
@@ -703,7 +721,7 @@ def test_degrees_cli(tmp_path):
 
 def test_verify_cli_passes(tmp_path, capsys):
     layers_dir = full_run(tmp_path, 3)
-    assert run_cli("verify", "-d", 3, "--mode", "all", "--layers-dir", layers_dir) == 0
+    assert run_cli("verify", "-d", 3, "--layers-dir", layers_dir) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
@@ -719,24 +737,55 @@ def test_verify_checks_edges_at_d6(tmp_path, capsys, generated):
     assert "FAIL" not in out
 
 
-def test_verify_families_checks_the_closed_form_points(monkeypatch, capsys):
-    # families mode reads no layer file: it checks the closed forms themselves
-    assert run_cli("verify", "-d", 4, "--mode", "families") == 0
+def test_verify_families_checks_the_closed_form_points(tmp_path, monkeypatch, capsys):
+    # the family checks compare the closed forms themselves, not the layer files
+    layers_dir = full_run(tmp_path, 4)
+    argv = ("verify", "-d", 4, "--layers-dir", layers_dir)
+    assert run_cli(*argv) == 0
     for name in ("family_U_point", "family_W_point"):
         with monkeypatch.context() as m:
             m.setattr(analytics, name, lambda d, k: (0,) * d)
-            assert run_cli("verify", "-d", 4, "--mode", "families") == cli.EXIT_VERIFY
+            assert run_cli(*argv) == cli.EXIT_VERIFY
     out = capsys.readouterr().out
     assert out.count("FAIL") == 2
     assert "U-family closed-form points and degrees d=4: FAIL" in out.splitlines()
+    assert "W-family vertices and closed-form points d=4: FAIL" in out.splitlines()
+
+
+VERIFY_LINES = {
+    2: ["a(2) == 6", "o(2) == 2", "e(2) == 6", "brute force vs layered engine at d=2"],
+    4: [
+        "a(4) == 370", "o(4) == 18", "layer table d=4 row-for-row",
+        "degree table d=4 row-for-row", "e(4) == 760", "brute force vs layered engine at d=4",
+    ],
+}
+
+
+@pytest.mark.parametrize("d", sorted(VERIFY_LINES))
+def test_verify_reads_each_layer_file_once(tmp_path, monkeypatch, capsys, d):
+    # the table checks and the brute force take their entries from one
+    # degree pass over the layer files, and the family checks read none
+    layers_dir = full_run(tmp_path, d)
+    reads = []
+    real_read = layerfile.read_layer
+
+    def counted_read(path, expect_d, expect_k):
+        reads.append(expect_k)
+        return real_read(path, expect_d, expect_k)
+
+    monkeypatch.setattr(layerfile, "read_layer", counted_read)
+    assert run_cli("verify", "-d", d, "--layers-dir", layers_dir) == 0
+    assert reads == list(range(core.halfway_layer(d) + 1))
+    families = [
+        "U-family closed-form points and degrees", "U-family closed-form certificates",
+        "W-family vertices and closed-form points",
+    ]
+    want = VERIFY_LINES[d] + [f"{name} d={d}" for name in families]
+    assert capsys.readouterr().out.splitlines() == [f"{line}: PASS" for line in want]
 
 
 def test_verify_missing_layers_is_io_error(tmp_path):
-    for mode in ("tables", "bruteforce", "all"):
-        assert (
-            run_cli("verify", "-d", 4, "--mode", mode, "--layers-dir", tmp_path / "none")
-            == cli.EXIT_IO
-        )
+    assert run_cli("verify", "-d", 4, "--layers-dir", tmp_path / "none") == cli.EXIT_IO
 
 
 def test_verify_reads_the_layer_files(tmp_path, capsys):
@@ -745,12 +794,10 @@ def test_verify_reads_the_layer_files(tmp_path, capsys):
     layer = layerfile.read_layer(path, 4, 5)
     layerfile.write_layer(path, engine.LayerRecord(4, 5, layer.entries[1:]))
     capsys.readouterr()
-    for mode in ("tables", "bruteforce"):
-        assert (
-            run_cli("verify", "-d", 4, "--mode", mode, "--layers-dir", layers_dir)
-            == cli.EXIT_VERIFY
-        )
-        assert "FAIL" in capsys.readouterr().out
+    assert run_cli("verify", "-d", 4, "--layers-dir", layers_dir) == cli.EXIT_VERIFY
+    out = capsys.readouterr().out.splitlines()
+    assert "a(4) == 370: FAIL" in out
+    assert "brute force vs layered engine at d=4: FAIL" in out
 
 
 def test_bad_layer_midway_through_the_degree_pass(tmp_path, capsys):
@@ -765,33 +812,23 @@ def test_bad_layer_midway_through_the_degree_pass(tmp_path, capsys):
     k3 = layers_dir / "layer_d4_k3.www"
     k3.write_text(k3.read_text().replace("1 3 5 |", "1 3 6 |"))
     capsys.readouterr()
-    for argv in (("edges",), ("degrees",), ("verify", "--mode", "tables")):
+    for argv in (("edges",), ("degrees",), ("verify",)):
         assert run_cli(*argv, "-d", 4, "--layers-dir", layers_dir) == cli.EXIT_IO
         assert "checksum mismatch" in capsys.readouterr().err
         assert {name: (layers_dir / name).read_bytes() for name in outputs} == outputs
         assert sorted(os.listdir(layers_dir)) == listing
 
 
-def test_verify_cli_bruteforce_needs_small_d(tmp_path):
-    assert run_cli("verify", "-d", 5, "--mode", "bruteforce") == cli.EXIT_CONFIG
-
-
 def test_verify_tables_beyond_the_ground_truth(tmp_path, capsys, monkeypatch):
-    # the tables hold a(d) and o(d) up to d = 9; at d = 10 an explicit
-    # --mode tables is refused before any file is read
+    # the tables hold a(d) and o(d) up to d = 9; at d = 10 verify runs only
+    # the family checks, even with every layer file present
     assert max(tables.A_VALUES) == 9
-    assert (
-        run_cli("verify", "-d", 10, "--mode", "tables", "--layers-dir", tmp_path / "none")
-        == cli.EXIT_CONFIG
-    )
-    assert "tables mode needs d <= 9, got 10" in capsys.readouterr().err
-    # and "all" runs only the family checks there, even with every layer file present
     for k in range(core.halfway_layer(10) + 1):
         path = layerfile.layer_path(str(tmp_path), 10, k)
         layerfile.write_layer(path, engine.LayerRecord(10, k, ()))
     # the oracle degree checks of the U family take over a minute at d = 10
     monkeypatch.setattr(analytics, "family_degree_check", lambda d, k: None)
-    assert run_cli("verify", "-d", 10, "--mode", "all", "--layers-dir", tmp_path) == 0
+    assert run_cli("verify", "-d", 10, "--layers-dir", tmp_path) == 0
     out = capsys.readouterr().out.splitlines()
     assert [line.split(" d=")[0] for line in out] == [
         "U-family closed-form points and degrees",
